@@ -12,10 +12,10 @@
 //                   skipped above --dfs-max-switches (reported as null)
 //   releaseBatched  production release pass (SCC condensation + bitset
 //                   reachability, incrementally maintained)
-//   tableSerial     RoutingTable::build, single thread (the historical
-//                   single-pass successor-index algorithm)
-//   tableParallel   RoutingTable::build over --threads workers (two-phase
-//                   count/fill CSR build; bit-for-bit identical output)
+//   tableSerial     RoutingTable::build, single thread
+//   tableParallel   RoutingTable::build over --threads workers (the same
+//                   per-destination blocks fanned out; bit-for-bit
+//                   identical output)
 //   fullSerial      tree -> table end to end, single thread
 //   fullParallel    same with the worker pool
 //   reconfigFull    fault::Reconfigurator::rebuild after one link failure

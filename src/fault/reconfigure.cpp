@@ -1,6 +1,7 @@
 #include "fault/reconfigure.hpp"
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/downup_routing.hpp"
@@ -278,25 +279,21 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   const std::vector<std::uint64_t> alive =
       channelAliveWords(linkAlive, nodeAlive);
 
-  // A channel that is alive now but was dead in the previous epoch revived;
-  // its epoch's turn rule never classified it, so only a full rebuild can
-  // route through it.
-  {
-    util::ScopedSpan applicabilitySpan(spans_, "dirty_set");
-    for (ChannelId c = 0; c < topo.channelCount(); ++c) {
-      const bool aliveNow = (alive[c >> 6] >> (c & 63)) & 1u;
-      const bool alivePrev =
-          prevTable.channelSteps(topo.channelDst(c), c) == 1;
-      if (aliveNow && !alivePrev) {
-        applicabilitySpan.arg("revived", 1);
-        applicabilitySpan.close();
-        return rebuild(linkAlive, nodeAlive);
-      }
-    }
-  }
+  // rebuildDead refuses a channel that is alive now but was dead in the
+  // previous epoch: that epoch's turn rule never classified it, so only a
+  // full rebuild can route through it.
+  std::vector<NodeId> dirty;
+  std::optional<RoutingTable> table =
+      RoutingTable::rebuildDead(prevTable, pool_, alive, &dirty, spans_);
+  if (!table) return rebuild(linkAlive, nodeAlive);
 
   ReconfigOutcome out;
   out.incremental = true;
+  out.rebuiltDestinations = static_cast<std::uint32_t>(dirty.size());
+  out.perms = std::make_unique<TurnPermissions>(prevTable.permissions());
+  out.table = std::make_unique<RoutingTable>(std::move(*table));
+  out.table->rebindPermissions(*out.perms);
+
   util::ScopedSpan partitionSpan(spans_, "partition");
   const std::vector<std::uint8_t> effLink =
       effectiveLinks(topo, linkAlive, nodeAlive, out.aliveLinks);
@@ -306,13 +303,6 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   partitionSpan.arg("components", labels.count);
   partitionSpan.arg("aliveNodes", labels.aliveNodes);
   partitionSpan.close();
-
-  out.perms = std::make_unique<TurnPermissions>(prevTable.permissions());
-  std::vector<NodeId> dirty;
-  out.table = std::make_unique<RoutingTable>(
-      RoutingTable::rebuildDead(prevTable, pool_, alive, &dirty, spans_));
-  out.table->rebindPermissions(*out.perms);
-  out.rebuiltDestinations = static_cast<std::uint32_t>(dirty.size());
 
   util::ScopedSpan verifySpan(spans_, "verify");
   // The inherited rule's channel-dependency graph was acyclic and lost only
@@ -324,23 +314,11 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   // unreachable by design; a within-component unreachable pair means the
   // old tree cannot serve the degraded graph (e.g. the failure cut the
   // region the turn rule funnels traffic through) — re-rooting may fix
-  // that, so fall back to the full rebuild.
-  const NodeId n = topo.nodeCount();
-  std::uint64_t reachable = 0;
-  double pathSum = 0.0;
-  for (NodeId s = 0; s < n; ++s) {
-    if (labels.comp[s] == kNoComp) continue;
-    for (NodeId d = 0; d < n; ++d) {
-      if (d == s || labels.comp[d] == kNoComp) continue;
-      const std::uint16_t dist = out.table->distance(s, d);
-      if (dist == routing::kNoPath) {
-        ++out.unreachablePairs;
-      } else {
-        ++reachable;
-        pathSum += dist;
-      }
-    }
-  }
+  // that, so fall back to the full rebuild.  Dead switches reach nothing
+  // and are reached by nothing, so every reachable pair is an alive pair.
+  out.unreachablePairs =
+      static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
+      out.table->reachability().pairs;
   const std::uint64_t crossComponentPairs =
       static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
       labels.sameComponentPairs;
@@ -349,8 +327,7 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   if (!out.componentsConnected || !out.deadlockFree) {
     return rebuild(linkAlive, nodeAlive);
   }
-  out.averagePathLength =
-      reachable == 0 ? 0.0 : pathSum / static_cast<double>(reachable);
+  out.averagePathLength = out.table->averagePathLength();
   auditOutcome(out, linkAlive, nodeAlive, "reconfig_incremental");
   return out;
 }

@@ -9,13 +9,17 @@
 //   rebuild                     one service-loop decision or driven publish
 //   ├─ coalesce_wait            the burst-coalescing sleep (service mode)
 //   ├─ event_dequeue            queue drain + fold into desired masks
-//   ├─ dirty_set                incremental applicability + dirty-set scan
 //   ├─ partition / subtopo      alive-component labelling + compaction
 //   ├─ tree                     coordinated-tree construction per component
 //   ├─ classify / repair / release   turn-rule stages per component
 //   ├─ table_build              RoutingTable::build or rebuildDead
-//   │  ├─ bfs                   per-destination reverse BFS fan-out
-//   │  └─ candidate_fill        CSR successor-index construction
+//   │  ├─ dirty_delta           rebuildDead only: newly dead channels from
+//   │  │                        the table's recorded mask (a revival ends
+//   │  │                        the incremental path here) + dirty-set scan
+//   │  ├─ bfs                   per-destination block fan-out: reverse BFS,
+//   │  │                        then the destination's candidate rows
+//   │  └─ candidate_fill        installing the blocks; rebuildDead shares
+//   │                           every clean block with the previous table
 //   ├─ verify                   deadlock-freedom + connectivity check
 //   ├─ merge                    per-component remap into host numbering
 //   └─ publish                  epoch swap + reclaim sweep

@@ -1,8 +1,10 @@
 #include "routing/routing_table.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
+#include <bit>
+#include <memory>
+#include <new>
+#include <numeric>
 
 #include "routing/audit.hpp"
 #include "util/thread_pool.hpp"
@@ -15,11 +17,21 @@ inline bool aliveBit(std::span<const std::uint64_t> mask, ChannelId c) noexcept 
   return mask.empty() || ((mask[c >> 6] >> (c & 63)) & 1u);
 }
 
+/// `mask` as exactly one bit per channel (empty: every channel alive).
+std::vector<std::uint64_t> aliveWords(std::span<const std::uint64_t> mask,
+                                      std::uint32_t channels) {
+  std::vector<std::uint64_t> words((channels + 63) / 64, 0);
+  for (ChannelId c = 0; c < channels; ++c) {
+    if (aliveBit(mask, c)) words[c >> 6] |= std::uint64_t{1} << (c & 63);
+  }
+  return words;
+}
+
 /// Dynamic serial/parallel cutover: a null return routes every parallelFor
-/// below through the serial path.  Small tables fan out slower than they
-/// build (kParallelBuildMinDestinations); the choice never affects output.
+/// below through the serial path.  A few blocks build faster than they fan
+/// out (kParallelBuildMinDestinations); the choice never affects output.
 inline util::ThreadPool* effectivePool(util::ThreadPool* pool,
-                                       NodeId destinations) noexcept {
+                                       std::size_t destinations) noexcept {
   if (pool == nullptr || pool->threadCount() <= 1 ||
       destinations < kParallelBuildMinDestinations) {
     return nullptr;
@@ -27,63 +39,83 @@ inline util::ThreadPool* effectivePool(util::ThreadPool* pool,
   return pool;
 }
 
-/// Single source of truth for candidate enumeration: walks destination
-/// `dst`'s candidate relation in the exact order the simulator depends on
-/// (adjacency order within each row; the simulator's random pick indexes
-/// into these rows, so reordering would change RNG-driven routing
-/// decisions).  The serial single-pass build, the parallel counting pass
-/// and the parallel fill pass all instantiate this with different emitters,
-/// which is what makes them bit-for-bit interchangeable.
-template <class FirstEntry, class FirstRowEnd, class ChanEntry,
-          class ChanRowEnd>
-void enumerateCandidatesForDst(const TurnPermissions& perms, NodeId n,
-                               std::uint32_t channels,
-                               const std::uint16_t* steps, NodeId dst,
-                               FirstEntry&& firstEntry,
-                               FirstRowEnd&& firstRowEnd, ChanEntry&& chanEntry,
-                               ChanRowEnd&& chanRowEnd) {
-  const Topology& topo = perms.topology();
-  for (NodeId src = 0; src < n; ++src) {
-    if (src != dst) {
-      std::uint16_t best = kNoPath;
-      for (ChannelId c : topo.outputChannels(src)) {
-        best = std::min(best, steps[c]);
-      }
-      if (best != kNoPath) {
-        for (ChannelId c : topo.outputChannels(src)) {
-          if (steps[c] == best) firstEntry(c);
-        }
-      }
-    }
-    firstRowEnd(src);
-  }
-  for (ChannelId in = 0; in < channels; ++in) {
-    const std::uint16_t remaining = steps[in];
-    if (remaining != kNoPath && remaining > 1) {  // <=1: dst(in) == dst
-      const NodeId via = topo.channelDst(in);
-      for (ChannelId next : topo.outputChannels(via)) {
-        if (steps[next] != remaining - 1) continue;
-        chanEntry(next, perms.allowed(via, in, next),
-                  next != Topology::reverseChannel(in));
-      }
-    }
-    chanRowEnd(in);
-  }
-}
-
 }  // namespace
 
-void RoutingTable::bfsDestination(NodeId dst,
-                                  std::span<const std::uint64_t> channelAlive,
-                                  std::vector<ChannelId>& queue) {
-  const Topology& topo = perms_->topology();
-  auto* steps = &steps_[static_cast<std::size_t>(dst) * channelCount_];
-  std::fill(steps, steps + channelCount_, kNoPath);
+/// Staging for one block: the steps row and the candidate rows are written
+/// here, then copied into an exactly-sized block.  The any-turn rows are
+/// staged apart because they are enumerated in the same channel pass as
+/// the legal rows but follow all of them in the block.
+struct RoutingTable::Scratch {
+  std::vector<std::uint16_t> steps;
+  std::vector<ChannelId> queue;
+  std::vector<std::uint32_t> offsets;  // first-hop rows, then legal rows
+  std::vector<ChannelId> entries;
+  std::vector<std::uint32_t> anyOffsets;
+  std::vector<ChannelId> anyEntries;
+  std::uint32_t reachableSources = 0;
+  std::uint64_t distanceSum = 0;
+
+  void begin(std::uint32_t channels) {
+    steps.assign(channels, kNoPath);
+    offsets.assign(1, 0);
+    entries.clear();
+    anyOffsets.assign(1, 0);
+    anyEntries.clear();
+    reachableSources = 0;
+    distanceSum = 0;
+  }
+  void endRow() { offsets.push_back(static_cast<std::uint32_t>(entries.size())); }
+  void endAnyRow() {
+    anyOffsets.push_back(static_cast<std::uint32_t>(anyEntries.size()));
+  }
+
+  Block finish() {
+    const std::size_t at = offsetsAt(static_cast<std::uint32_t>(steps.size()));
+    const std::size_t words = offsets.size() + anyOffsets.size() - 1 +
+                              entries.size() + anyEntries.size();
+    const std::size_t bytes = at + words * sizeof(std::uint32_t);
+    auto storage = std::make_shared_for_overwrite<std::uint64_t[]>(
+        (bytes + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t));
+    std::byte* raw = reinterpret_cast<std::byte*>(storage.get());
+    ::new (raw) Summary{distanceSum, reachableSources};
+    std::uninitialized_copy(steps.begin(), steps.end(),
+                            reinterpret_cast<std::uint16_t*>(raw + kStepsAt));
+    // The any-turn rows' offsets continue after every legal row's entries.
+    for (std::uint32_t& o : anyOffsets) o += offsets.back();
+    auto* out = std::uninitialized_copy(
+        offsets.begin(), offsets.end(),
+        reinterpret_cast<std::uint32_t*>(raw + at));
+    out = std::uninitialized_copy(anyOffsets.begin() + 1, anyOffsets.end(), out);
+    out = std::uninitialized_copy(entries.begin(), entries.end(), out);
+    std::uninitialized_copy(anyEntries.begin(), anyEntries.end(), out);
+    return storage;
+  }
+};
+
+RoutingTable::RoutingTable(const TurnPermissions& perms,
+                           std::span<const std::uint64_t> channelAlive)
+    : perms_(&perms),
+      channelCount_(perms.topology().channelCount()),
+      nodeCount_(perms.topology().nodeCount()),
+      indexRows_(nodeCount_ + 2 * channelCount_),
+      offsetsAt_(offsetsAt(channelCount_)),
+      alive_(aliveWords(channelAlive, channelCount_)) {}
+
+RoutingTable::Block RoutingTable::buildBlock(
+    const TurnPermissions& perms, NodeId dst,
+    std::span<const std::uint64_t> channelAlive, Scratch& scratch) {
+  const Topology& topo = perms.topology();
+  const NodeId n = topo.nodeCount();
+  const std::uint32_t channels = topo.channelCount();
+  scratch.begin(channels);
+  std::uint16_t* steps = scratch.steps.data();
+  std::vector<ChannelId>& queue = scratch.queue;
+
+  // Reverse BFS over the channel graph.  Seeds are the input channels of
+  // dst (reverses of its outputs); the final distances do not depend on
+  // intra-layer queue order, so any seed enumeration order yields the same
+  // steps row.
   queue.clear();
-  queue.reserve(channelCount_);
-  // Seeds are the input channels of dst (reverses of its outputs); the
-  // final distances do not depend on intra-layer queue order, so any seed
-  // enumeration order yields the same steps row.
   for (ChannelId out : topo.outputChannels(dst)) {
     const ChannelId c = Topology::reverseChannel(out);
     if (!aliveBit(channelAlive, c)) continue;
@@ -100,10 +132,79 @@ void RoutingTable::bfsDestination(NodeId dst,
       const ChannelId in = Topology::reverseChannel(out);
       if (steps[in] != kNoPath) continue;
       if (!aliveBit(channelAlive, in)) continue;
-      if (!perms_->allowed(via, in, c)) continue;
+      if (!perms.allowed(via, in, c)) continue;
       steps[in] = nextSteps;
       queue.push_back(in);
     }
+  }
+
+  // Candidate rows, in the exact order the simulator depends on (adjacency
+  // order within each row; the simulator's random pick indexes into these
+  // rows, so reordering would change RNG-driven routing decisions).
+  for (NodeId src = 0; src < n; ++src) {
+    if (src != dst) {
+      std::uint16_t best = kNoPath;
+      for (ChannelId c : topo.outputChannels(src)) {
+        best = std::min(best, steps[c]);
+      }
+      if (best != kNoPath) {
+        ++scratch.reachableSources;
+        scratch.distanceSum += best;
+        for (ChannelId c : topo.outputChannels(src)) {
+          if (steps[c] == best) scratch.entries.push_back(c);
+        }
+      }
+    }
+    scratch.endRow();
+  }
+  for (ChannelId in = 0; in < channels; ++in) {
+    const std::uint16_t remaining = steps[in];
+    if (remaining != kNoPath && remaining > 1) {  // <=1: dst(in) == dst
+      const NodeId via = topo.channelDst(in);
+      for (ChannelId next : topo.outputChannels(via)) {
+        if (steps[next] != remaining - 1) continue;
+        if (perms.allowed(via, in, next)) scratch.entries.push_back(next);
+        if (next != Topology::reverseChannel(in)) {
+          scratch.anyEntries.push_back(next);
+        }
+      }
+    }
+    scratch.endRow();
+    scratch.endAnyRow();
+  }
+  return scratch.finish();
+}
+
+void RoutingTable::installBlocks(std::span<const NodeId> fresh,
+                                 const RoutingTable* prev,
+                                 std::span<const std::uint64_t> channelAlive,
+                                 util::ThreadPool* pool,
+                                 util::ScopedSpan& buildSpan,
+                                 util::SpanRecorder* spans) {
+  pool = effectivePool(pool, fresh.size());
+  buildSpan.arg("threads", pool != nullptr ? pool->threadCount() : 1);
+  buildSpan.arg("parallel", pool != nullptr ? 1 : 0);
+
+  // Blocks are independent, so they fan out directly; each lands in its
+  // own slot.  Scratch is per OS thread and keeps its capacity, so repeated
+  // builds on warm threads allocate only the blocks themselves.
+  std::vector<Block> built(fresh.size());
+  {
+    util::ScopedSpan bfsSpan(spans, "bfs");
+    bfsSpan.arg("destinations", fresh.size());
+    util::parallelFor(pool, fresh.size(), [&](std::size_t i) {
+      thread_local Scratch scratch;
+      built[i] = buildBlock(*perms_, fresh[i], channelAlive, scratch);
+    });
+  }
+  util::ScopedSpan fillSpan(spans, "candidate_fill");
+  if (prev != nullptr) {
+    blocks_ = prev->blocks_;
+  } else {
+    blocks_.resize(nodeCount_);
+  }
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    blocks_[fresh[i]] = std::move(built[i]);
   }
 }
 
@@ -111,185 +212,30 @@ RoutingTable RoutingTable::build(const TurnPermissions& perms,
                                  util::ThreadPool* pool,
                                  std::span<const std::uint64_t> channelAlive,
                                  util::SpanRecorder* spans) {
-  RoutingTable table;
-  table.perms_ = &perms;
-  const Topology& topo = perms.topology();
-  const NodeId n = topo.nodeCount();
-  table.nodeCount_ = n;
-  table.channelCount_ = topo.channelCount();
-  table.steps_.resize(static_cast<std::size_t>(n) * table.channelCount_);
-  pool = effectivePool(pool, n);
-
+  RoutingTable table(perms, channelAlive);
   util::ScopedSpan buildSpan(spans, "table_build");
-  buildSpan.arg("destinations", n);
-  buildSpan.arg("threads", pool != nullptr ? pool->threadCount() : 1);
-  buildSpan.arg("parallel", pool != nullptr ? 1 : 0);
-
-  // Per-destination rows are disjoint, so the BFS fans out directly.  The
-  // queue is per OS thread and grows once to channelCount_; repeated builds
-  // on warm threads allocate nothing here.
-  {
-    util::ScopedSpan bfsSpan(spans, "bfs");
-    util::parallelFor(pool, n, [&table, channelAlive](std::size_t dst) {
-      thread_local std::vector<ChannelId> queue;
-      table.bfsDestination(static_cast<NodeId>(dst), channelAlive, queue);
-    });
-  }
-  {
-    util::ScopedSpan fillSpan(spans, "candidate_fill");
-    table.buildSuccessorIndexes(pool);
-  }
+  buildSpan.arg("destinations", table.nodeCount_);
+  std::vector<NodeId> all(table.nodeCount_);
+  std::iota(all.begin(), all.end(), NodeId{0});
+  table.installBlocks(all, nullptr, channelAlive, pool, buildSpan, spans);
   invokeTableAuditHook(perms, table, channelAlive);
   return table;
 }
 
-void RoutingTable::buildSuccessorIndexes(util::ThreadPool* pool) {
-  const NodeId n = nodeCount_;
-  const std::uint32_t channels = channelCount_;
-  first_.offsets.assign(static_cast<std::size_t>(n) * n + 1, 0);
-  next_.offsets.assign(static_cast<std::size_t>(n) * channels + 1, 0);
-  nextAny_.offsets.assign(static_cast<std::size_t>(n) * channels + 1, 0);
-
-  if (pool == nullptr || pool->threadCount() <= 1) {
-    // Serial: one pass, appending entries and recording cumulative offsets.
-    first_.entries.clear();
-    next_.entries.clear();
-    nextAny_.entries.clear();
-    for (NodeId dst = 0; dst < n; ++dst) {
-      const auto* steps =
-          &steps_[static_cast<std::size_t>(dst) * channels];
-      enumerateCandidatesForDst(
-          *perms_, n, channels, steps, dst,
-          [this](ChannelId c) { first_.entries.push_back(c); },
-          [this, n, dst](NodeId src) {
-            first_.offsets[static_cast<std::size_t>(dst) * n + src + 1] =
-                static_cast<std::uint32_t>(first_.entries.size());
-          },
-          [this](ChannelId next, bool legal, bool anyTurn) {
-            if (legal) next_.entries.push_back(next);
-            if (anyTurn) nextAny_.entries.push_back(next);
-          },
-          [this, channels, dst](ChannelId in) {
-            const std::size_t row =
-                static_cast<std::size_t>(dst) * channels + in;
-            next_.offsets[row + 1] =
-                static_cast<std::uint32_t>(next_.entries.size());
-            nextAny_.offsets[row + 1] =
-                static_cast<std::uint32_t>(nextAny_.entries.size());
-          });
-    }
-    first_.entries.shrink_to_fit();
-    next_.entries.shrink_to_fit();
-    nextAny_.entries.shrink_to_fit();
-    return;
-  }
-
-  // Parallel: count per-row sizes into offsets[row + 1] (disjoint
-  // destination blocks), serially prefix the per-destination totals, then
-  // prefix-and-fill each destination block independently.  The fill replays
-  // the same enumeration, so entries land exactly where the serial pass
-  // would have appended them.
-  std::vector<std::uint64_t> firstBase(n + 1, 0);
-  std::vector<std::uint64_t> nextBase(n + 1, 0);
-  std::vector<std::uint64_t> anyBase(n + 1, 0);
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    const NodeId dst = static_cast<NodeId>(d);
-    const auto* steps = &steps_[d * channels];
-    std::uint32_t firstCount = 0;
-    std::uint32_t nextCount = 0;
-    std::uint32_t anyCount = 0;
-    std::uint64_t firstTotal = 0;
-    std::uint64_t nextTotal = 0;
-    std::uint64_t anyTotal = 0;
-    enumerateCandidatesForDst(
-        *perms_, n, channels, steps, dst,
-        [&](ChannelId) { ++firstCount; },
-        [&](NodeId src) {
-          first_.offsets[d * n + src + 1] = firstCount;
-          firstTotal += firstCount;
-          firstCount = 0;
-        },
-        [&](ChannelId, bool legal, bool anyTurn) {
-          nextCount += legal;
-          anyCount += anyTurn;
-        },
-        [&](ChannelId in) {
-          const std::size_t row = d * channels + in;
-          next_.offsets[row + 1] = nextCount;
-          nextAny_.offsets[row + 1] = anyCount;
-          nextTotal += nextCount;
-          anyTotal += anyCount;
-          nextCount = 0;
-          anyCount = 0;
-        });
-    firstBase[d + 1] = firstTotal;
-    nextBase[d + 1] = nextTotal;
-    anyBase[d + 1] = anyTotal;
-  });
-  for (NodeId d = 0; d < n; ++d) {
-    firstBase[d + 1] += firstBase[d];
-    nextBase[d + 1] += nextBase[d];
-    anyBase[d + 1] += anyBase[d];
-  }
-  assert(firstBase[n] <= 0xffffffffull && nextBase[n] <= 0xffffffffull &&
-         anyBase[n] <= 0xffffffffull && "CSR entry count overflows uint32");
-  first_.entries.resize(firstBase[n]);
-  next_.entries.resize(nextBase[n]);
-  nextAny_.entries.resize(anyBase[n]);
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    const NodeId dst = static_cast<NodeId>(d);
-    const auto* steps = &steps_[d * channels];
-    // Turn this block's counts into absolute offsets.  The block boundary
-    // offset is written by the previous destination's task; nothing reads
-    // it until the barrier at the end of this parallelFor.
-    std::uint32_t cursor = static_cast<std::uint32_t>(firstBase[d]);
-    for (std::size_t row = d * n; row < (d + 1) * n; ++row) {
-      cursor += first_.offsets[row + 1];
-      first_.offsets[row + 1] = cursor;
-    }
-    std::uint32_t nextCursor = static_cast<std::uint32_t>(nextBase[d]);
-    std::uint32_t anyCursor = static_cast<std::uint32_t>(anyBase[d]);
-    for (std::size_t row = d * channels; row < (d + 1) * channels; ++row) {
-      nextCursor += next_.offsets[row + 1];
-      next_.offsets[row + 1] = nextCursor;
-      anyCursor += nextAny_.offsets[row + 1];
-      nextAny_.offsets[row + 1] = anyCursor;
-    }
-    std::uint32_t firstFill = static_cast<std::uint32_t>(firstBase[d]);
-    std::uint32_t nextFill = static_cast<std::uint32_t>(nextBase[d]);
-    std::uint32_t anyFill = static_cast<std::uint32_t>(anyBase[d]);
-    enumerateCandidatesForDst(
-        *perms_, n, channels, steps, dst,
-        [&](ChannelId c) { first_.entries[firstFill++] = c; },
-        [](NodeId) {},
-        [&](ChannelId next, bool legal, bool anyTurn) {
-          if (legal) next_.entries[nextFill++] = next;
-          if (anyTurn) nextAny_.entries[anyFill++] = next;
-        },
-        [](ChannelId) {});
-  });
-}
-
 bool RoutingTable::computeDeadDelta(std::span<const std::uint64_t> channelAlive,
                                     std::vector<ChannelId>& newlyDead,
-                                    std::vector<std::uint8_t>& deadKey,
-                                    std::vector<std::uint8_t>& dirty) const {
+                                    std::vector<NodeId>& dirty) const {
   const Topology& topo = perms_->topology();
-  const NodeId n = nodeCount_;
-  const std::uint32_t channels = channelCount_;
-
-  // A channel was alive in this table iff it seeds its own destination's
-  // BFS (steps == 1 in the row of its dst node); dead channels are kNoPath
-  // everywhere, including there.
   newlyDead.clear();
-  deadKey.assign(channels, 0);
-  for (ChannelId c = 0; c < channels; ++c) {
-    const bool alivePrev = channelSteps(topo.channelDst(c), c) == 1;
-    const bool aliveNow = aliveBit(channelAlive, c);
-    if (aliveNow && !alivePrev) return false;  // revival: full build needed
-    if (alivePrev && !aliveNow) {
-      newlyDead.push_back(c);
-      deadKey[c] = 1;
+  dirty.clear();
+  const std::vector<std::uint64_t> alive = aliveWords(channelAlive, channelCount_);
+  for (std::size_t w = 0; w < alive_.size(); ++w) {
+    const std::uint64_t was = alive_[w];
+    const std::uint64_t now = alive[w];
+    if ((now & ~was) != 0) return false;  // revival: full build needed
+    for (std::uint64_t died = was & ~now; died != 0; died &= died - 1) {
+      newlyDead.push_back(
+          static_cast<ChannelId>(w * 64 + std::countr_zero(died)));
     }
   }
 
@@ -301,32 +247,30 @@ bool RoutingTable::computeDeadDelta(std::span<const std::uint64_t> channelAlive,
   // minimal-path edge of the table appears in one of those rows, so for a
   // clean destination no minimal path from any channel crosses c, and no
   // step value or candidate row besides c's own entries can change.
-  dirty.assign(n, 0);
-  for (NodeId d = 0; d < n; ++d) {
-    const auto* steps = &steps_[static_cast<std::size_t>(d) * channels];
+  for (NodeId d = 0; d < nodeCount_; ++d) {
     for (const ChannelId c : newlyDead) {
-      const std::uint16_t stepsC = steps[c];
+      const std::uint16_t stepsC = channelSteps(d, c);
       if (stepsC == kNoPath) continue;
       const NodeId src = topo.channelSrc(c);
       bool hit = false;
       if (src != d) {
         std::uint16_t best = kNoPath;
         for (ChannelId o : topo.outputChannels(src)) {
-          best = std::min(best, steps[o]);
+          best = std::min(best, channelSteps(d, o));
         }
         hit = stepsC == best;
       }
       if (!hit) {
         for (ChannelId o : topo.outputChannels(src)) {
           if (o == c) continue;  // reverse(o) == reverse(c): the U-turn pair
-          if (steps[Topology::reverseChannel(o)] == stepsC + 1) {
+          if (channelSteps(d, Topology::reverseChannel(o)) == stepsC + 1) {
             hit = true;
             break;
           }
         }
       }
       if (hit) {
-        dirty[d] = 1;
+        dirty.push_back(d);
         break;
       }
     }
@@ -337,211 +281,67 @@ bool RoutingTable::computeDeadDelta(std::span<const std::uint64_t> channelAlive,
 std::uint32_t RoutingTable::dirtyDestinationCount(
     std::span<const std::uint64_t> channelAlive) const {
   std::vector<ChannelId> newlyDead;
-  std::vector<std::uint8_t> deadKey;
-  std::vector<std::uint8_t> dirty;
-  if (!computeDeadDelta(channelAlive, newlyDead, deadKey, dirty)) {
-    return nodeCount_;
-  }
-  std::uint32_t count = 0;
-  for (const std::uint8_t bit : dirty) count += bit;
-  return count;
+  std::vector<NodeId> dirty;
+  if (!computeDeadDelta(channelAlive, newlyDead, dirty)) return nodeCount_;
+  return static_cast<std::uint32_t>(dirty.size());
 }
 
-RoutingTable RoutingTable::rebuildDead(
+std::optional<RoutingTable> RoutingTable::rebuildDead(
     const RoutingTable& prev, util::ThreadPool* pool,
     std::span<const std::uint64_t> channelAlive,
     std::vector<NodeId>* dirtyDestinations, util::SpanRecorder* spans) {
-  const TurnPermissions& perms = *prev.perms_;
-  const NodeId n = prev.nodeCount_;
-  const std::uint32_t channels = prev.channelCount_;
-  pool = effectivePool(pool, n);
-
   util::ScopedSpan buildSpan(spans, "table_build");
-  buildSpan.arg("destinations", n);
-  buildSpan.arg("threads", pool != nullptr ? pool->threadCount() : 1);
-  buildSpan.arg("parallel", pool != nullptr ? 1 : 0);
+  buildSpan.arg("destinations", prev.nodeCount_);
   buildSpan.arg("incremental", 1);
 
   std::vector<ChannelId> newlyDead;
-  std::vector<std::uint8_t> deadKey;
-  std::vector<std::uint8_t> dirty;
-  std::uint32_t dirtyCount = 0;
+  std::vector<NodeId> dirty;
   {
     util::ScopedSpan deltaSpan(spans, "dirty_delta");
-    const bool applicable =
-        prev.computeDeadDelta(channelAlive, newlyDead, deadKey, dirty);
-    assert(applicable && "revived channel needs a full build");
-    (void)applicable;
-    for (const std::uint8_t bit : dirty) dirtyCount += bit;
-    deltaSpan.arg("dirty", dirtyCount);
+    if (!prev.computeDeadDelta(channelAlive, newlyDead, dirty)) {
+      deltaSpan.arg("revived", 1);
+      return std::nullopt;
+    }
+    deltaSpan.arg("dirty", dirty.size());
     deltaSpan.arg("deadChannels", newlyDead.size());
   }
-  if (dirtyDestinations != nullptr) {
-    dirtyDestinations->clear();
-    for (NodeId d = 0; d < n; ++d) {
-      if (dirty[d]) dirtyDestinations->push_back(d);
-    }
-  }
+  if (dirtyDestinations != nullptr) *dirtyDestinations = dirty;
 
-  RoutingTable table;
-  table.perms_ = prev.perms_;
-  table.nodeCount_ = n;
-  table.channelCount_ = channels;
-  table.steps_ = prev.steps_;
-  util::ScopedSpan bfsSpan(spans, "bfs");
-  bfsSpan.arg("dirty", dirtyCount);
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    if (dirty[d]) {
-      thread_local std::vector<ChannelId> queue;
-      table.bfsDestination(static_cast<NodeId>(d), channelAlive, queue);
-    } else {
-      auto* steps = &table.steps_[d * channels];
-      for (const ChannelId c : newlyDead) steps[c] = kNoPath;
-    }
-  });
-  bfsSpan.close();
-  util::ScopedSpan fillSpan(spans, "candidate_fill");
-
-  // Candidate indexes: dirty destinations re-enumerate from the fresh
-  // steps; clean destinations copy prev's rows verbatim (dead channels are
-  // members of none of them), dropping only the rows keyed by dead
-  // in-channels.  Same count / prefix / fill structure as the parallel
-  // build, so the result matches a from-scratch masked build bit for bit.
-  table.first_.offsets.assign(static_cast<std::size_t>(n) * n + 1, 0);
-  table.next_.offsets.assign(static_cast<std::size_t>(n) * channels + 1, 0);
-  table.nextAny_.offsets.assign(static_cast<std::size_t>(n) * channels + 1, 0);
-  std::vector<std::uint64_t> firstBase(n + 1, 0);
-  std::vector<std::uint64_t> nextBase(n + 1, 0);
-  std::vector<std::uint64_t> anyBase(n + 1, 0);
-  const auto prevRowSize = [](const Csr& csr, std::size_t row) {
-    return csr.offsets[row + 1] - csr.offsets[row];
-  };
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    std::uint64_t firstTotal = 0;
-    std::uint64_t nextTotal = 0;
-    std::uint64_t anyTotal = 0;
-    if (dirty[d]) {
-      const NodeId dst = static_cast<NodeId>(d);
-      const auto* steps = &table.steps_[d * channels];
-      std::uint32_t firstCount = 0;
-      std::uint32_t nextCount = 0;
-      std::uint32_t anyCount = 0;
-      enumerateCandidatesForDst(
-          perms, n, channels, steps, dst,
-          [&](ChannelId) { ++firstCount; },
-          [&](NodeId src) {
-            table.first_.offsets[d * n + src + 1] = firstCount;
-            firstTotal += firstCount;
-            firstCount = 0;
-          },
-          [&](ChannelId, bool legal, bool anyTurn) {
-            nextCount += legal;
-            anyCount += anyTurn;
-          },
-          [&](ChannelId in) {
-            const std::size_t row = d * channels + in;
-            table.next_.offsets[row + 1] = nextCount;
-            table.nextAny_.offsets[row + 1] = anyCount;
-            nextTotal += nextCount;
-            anyTotal += anyCount;
-            nextCount = 0;
-            anyCount = 0;
-          });
-    } else {
-      for (NodeId src = 0; src < n; ++src) {
-        const std::size_t row = d * n + src;
-        const std::uint32_t size = prevRowSize(prev.first_, row);
-        table.first_.offsets[row + 1] = size;
-        firstTotal += size;
-      }
-      for (ChannelId in = 0; in < channels; ++in) {
-        const std::size_t row = d * channels + in;
-        const std::uint32_t nextSize =
-            deadKey[in] ? 0 : prevRowSize(prev.next_, row);
-        const std::uint32_t anySize =
-            deadKey[in] ? 0 : prevRowSize(prev.nextAny_, row);
-        table.next_.offsets[row + 1] = nextSize;
-        table.nextAny_.offsets[row + 1] = anySize;
-        nextTotal += nextSize;
-        anyTotal += anySize;
-      }
-    }
-    firstBase[d + 1] = firstTotal;
-    nextBase[d + 1] = nextTotal;
-    anyBase[d + 1] = anyTotal;
-  });
-  for (NodeId d = 0; d < n; ++d) {
-    firstBase[d + 1] += firstBase[d];
-    nextBase[d + 1] += nextBase[d];
-    anyBase[d + 1] += anyBase[d];
-  }
-  table.first_.entries.resize(firstBase[n]);
-  table.next_.entries.resize(nextBase[n]);
-  table.nextAny_.entries.resize(anyBase[n]);
-  util::parallelFor(pool, n, [&](std::size_t d) {
-    std::uint32_t firstFill = static_cast<std::uint32_t>(firstBase[d]);
-    std::uint32_t nextFill = static_cast<std::uint32_t>(nextBase[d]);
-    std::uint32_t anyFill = static_cast<std::uint32_t>(anyBase[d]);
-    std::uint32_t cursor = firstFill;
-    for (std::size_t row = d * n; row < (d + 1) * n; ++row) {
-      cursor += table.first_.offsets[row + 1];
-      table.first_.offsets[row + 1] = cursor;
-    }
-    std::uint32_t nextCursor = nextFill;
-    std::uint32_t anyCursor = anyFill;
-    for (std::size_t row = d * channels; row < (d + 1) * channels; ++row) {
-      nextCursor += table.next_.offsets[row + 1];
-      table.next_.offsets[row + 1] = nextCursor;
-      anyCursor += table.nextAny_.offsets[row + 1];
-      table.nextAny_.offsets[row + 1] = anyCursor;
-    }
-    if (dirty[d]) {
-      const NodeId dst = static_cast<NodeId>(d);
-      const auto* steps = &table.steps_[d * channels];
-      enumerateCandidatesForDst(
-          perms, n, channels, steps, dst,
-          [&](ChannelId c) { table.first_.entries[firstFill++] = c; },
-          [](NodeId) {},
-          [&](ChannelId next, bool legal, bool anyTurn) {
-            if (legal) table.next_.entries[nextFill++] = next;
-            if (anyTurn) table.nextAny_.entries[anyFill++] = next;
-          },
-          [](ChannelId) {});
-    } else {
-      const std::size_t firstRow = d * n;
-      const std::size_t firstCount =
-          prev.first_.offsets[firstRow + n] - prev.first_.offsets[firstRow];
-      std::memcpy(table.first_.entries.data() + firstFill,
-                  prev.first_.entries.data() + prev.first_.offsets[firstRow],
-                  firstCount * sizeof(ChannelId));
-      const auto copyRow = [](const Csr& from, std::size_t row, Csr& to,
-                              std::uint32_t& fill) {
-        const std::uint32_t begin = from.offsets[row];
-        const std::uint32_t size = from.offsets[row + 1] - begin;
-        std::memcpy(to.entries.data() + fill, from.entries.data() + begin,
-                    size * sizeof(ChannelId));
-        fill += size;
-      };
-      for (ChannelId in = 0; in < channels; ++in) {
-        if (deadKey[in]) continue;
-        const std::size_t row = d * channels + in;
-        copyRow(prev.next_, row, table.next_, nextFill);
-        copyRow(prev.nextAny_, row, table.nextAny_, anyFill);
-      }
-    }
-  });
+  // Clean blocks are shared as they are: the dead channels appear in none
+  // of their rows, and the new mask hides the dead channels' own steps and
+  // the rows keyed by them.  The mask only ever loses channels along an
+  // incremental chain (a revival takes the full build), so a block shared
+  // across several epochs stays correct under each later mask.
+  RoutingTable table(*prev.perms_, channelAlive);
+  table.masked_ = prev.masked_ || !newlyDead.empty();
+  table.installBlocks(dirty, &prev, channelAlive, pool, buildSpan, spans);
   invokeTableAuditHook(*table.perms_, table, channelAlive);
   return table;
 }
 
 bool RoutingTable::identicalTo(const RoutingTable& other) const noexcept {
-  const auto sameCsr = [](const Csr& a, const Csr& b) {
-    return a.offsets == b.offsets && a.entries == b.entries;
+  if (nodeCount_ != other.nodeCount_ || channelCount_ != other.channelCount_) {
+    return false;
+  }
+  const auto sameRow = [](std::span<const ChannelId> a,
+                          std::span<const ChannelId> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
   };
-  return nodeCount_ == other.nodeCount_ &&
-         channelCount_ == other.channelCount_ && steps_ == other.steps_ &&
-         sameCsr(first_, other.first_) && sameCsr(next_, other.next_) &&
-         sameCsr(nextAny_, other.nextAny_);
+  for (NodeId d = 0; d < nodeCount_; ++d) {
+    for (NodeId src = 0; src < nodeCount_; ++src) {
+      if (!sameRow(firstChannels(src, d), other.firstChannels(src, d))) {
+        return false;
+      }
+    }
+    for (ChannelId c = 0; c < channelCount_; ++c) {
+      if (channelSteps(d, c) != other.channelSteps(d, c) ||
+          !sameRow(nextChannels(c, d), other.nextChannels(c, d)) ||
+          !sameRow(nextChannelsAnyTurn(c, d), other.nextChannelsAnyTurn(c, d))) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 std::uint64_t RoutingTable::fingerprint() const noexcept {
@@ -552,110 +352,115 @@ std::uint64_t RoutingTable::fingerprint() const noexcept {
   };
   mix(nodeCount_);
   mix(channelCount_);
-  for (const std::uint16_t s : steps_) mix(s);
-  for (const Csr* csr : {&first_, &next_, &nextAny_}) {
-    for (const std::uint32_t o : csr->offsets) mix(o);
-    for (const ChannelId e : csr->entries) mix(e);
+  for (NodeId d = 0; d < nodeCount_; ++d) {
+    for (ChannelId c = 0; c < channelCount_; ++c) mix(channelSteps(d, c));
   }
+  // Each index hashes as the global CSR it once was: rows ordered by
+  // (dst, key), cumulative offsets from 0, then every entry.
+  const auto mixIndex = [&](std::uint32_t keys, auto rowOf) {
+    std::uint32_t offset = 0;
+    mix(offset);
+    for (NodeId d = 0; d < nodeCount_; ++d) {
+      for (std::uint32_t k = 0; k < keys; ++k) {
+        offset += static_cast<std::uint32_t>(rowOf(k, d).size());
+        mix(offset);
+      }
+    }
+    for (NodeId d = 0; d < nodeCount_; ++d) {
+      for (std::uint32_t k = 0; k < keys; ++k) {
+        for (const ChannelId e : rowOf(k, d)) mix(e);
+      }
+    }
+  };
+  mixIndex(nodeCount_,
+           [this](NodeId src, NodeId d) { return firstChannels(src, d); });
+  mixIndex(channelCount_,
+           [this](ChannelId in, NodeId d) { return nextChannels(in, d); });
+  mixIndex(channelCount_, [this](ChannelId in, NodeId d) {
+    return nextChannelsAnyTurn(in, d);
+  });
   return hash;
 }
 
 RoutingTable RoutingTable::remapComponents(
     const TurnPermissions& hostPerms, std::span<const ComponentMapping> parts) {
-  RoutingTable host;
-  host.perms_ = &hostPerms;
   const Topology& topo = hostPerms.topology();
-  host.nodeCount_ = topo.nodeCount();
-  host.channelCount_ = topo.channelCount();
-  const std::size_t n = host.nodeCount_;
-  const std::size_t channels = host.channelCount_;
-  host.steps_.assign(n * channels, kNoPath);
-
-  // Scatter the per-destination step fields.  Components are node- and
-  // channel-disjoint, so writes never collide.
+  const NodeId n = topo.nodeCount();
+  const std::uint32_t channels = topo.channelCount();
+  std::vector<std::uint64_t> mapped((channels + 63) / 64, 0);
   for (const ComponentMapping& part : parts) {
-    const RoutingTable& sub = *part.table;
-    for (NodeId subDst = 0; subDst < sub.nodeCount_; ++subDst) {
-      const std::size_t hostRow =
-          static_cast<std::size_t>(part.nodeToHost[subDst]) * channels;
-      const std::size_t subRow =
-          static_cast<std::size_t>(subDst) * sub.channelCount_;
-      for (ChannelId c = 0; c < sub.channelCount_; ++c) {
-        host.steps_[hostRow + part.channelToHost[c]] = sub.steps_[subRow + c];
-      }
+    for (const ChannelId c : part.channelToHost) {
+      mapped[c >> 6] |= std::uint64_t{1} << (c & 63);
     }
   }
+  RoutingTable host(hostPerms, mapped);
 
-  // Rebuild the three CSR candidate indexes by translating each sub row
-  // into its host row.  Entry order within a row is preserved: sub node ids
-  // ascend with host ids (ComponentMapping contract), so a sub adjacency
-  // scan visits neighbors in the same relative order a host scan would.
-  const auto translate = [&parts](auto rowsPerDst, auto subRowsOf,
-                                  auto hostRowOf, Csr RoutingTable::*csr,
-                                  RoutingTable& out) {
-    std::vector<std::uint32_t> sizes(rowsPerDst + 1, 0);
-    for (const ComponentMapping& part : parts) {
-      const Csr& subCsr = part.table->*csr;
-      const std::size_t subRows = subRowsOf(*part.table);
-      for (std::size_t r = 0; r < subRows; ++r) {
-        sizes[hostRowOf(part, r) + 1] +=
-            subCsr.offsets[r + 1] - subCsr.offsets[r];
+  // Destinations outside every component (dead or isolated switches) are
+  // reached from nowhere and have no rows: they all share one empty block.
+  Scratch scratch;
+  scratch.begin(channels);
+  for (std::uint32_t row = 0; row < n + channels; ++row) scratch.endRow();
+  for (ChannelId in = 0; in < channels; ++in) scratch.endAnyRow();
+  host.blocks_.assign(n, scratch.finish());
+
+  // Each component destination's host block translates its sub block row
+  // by row.  Entry order within a row is preserved: sub node ids ascend
+  // with host ids (ComponentMapping contract), so a sub adjacency scan
+  // visits neighbors in the same relative order a host scan would.
+  std::vector<NodeId> nodeToSub(n, topo::kInvalidNode);
+  std::vector<ChannelId> channelToSub(channels, topo::kInvalidChannel);
+  for (const ComponentMapping& part : parts) {
+    const RoutingTable& sub = *part.table;
+    for (NodeId v = 0; v < part.nodeToHost.size(); ++v) {
+      nodeToSub[part.nodeToHost[v]] = v;
+    }
+    for (ChannelId c = 0; c < part.channelToHost.size(); ++c) {
+      channelToSub[part.channelToHost[c]] = c;
+    }
+    const auto translate = [&part](std::span<const ChannelId> row,
+                                   std::vector<ChannelId>& out) {
+      for (const ChannelId c : row) out.push_back(part.channelToHost[c]);
+    };
+    for (NodeId subDst = 0; subDst < sub.nodeCount_; ++subDst) {
+      scratch.begin(channels);
+      for (ChannelId c = 0; c < sub.channelCount_; ++c) {
+        scratch.steps[part.channelToHost[c]] = sub.channelSteps(subDst, c);
       }
-    }
-    Csr& hostCsr = out.*csr;
-    hostCsr.offsets.assign(sizes.begin(), sizes.end());
-    for (std::size_t r = 1; r < hostCsr.offsets.size(); ++r) {
-      hostCsr.offsets[r] += hostCsr.offsets[r - 1];
-    }
-    hostCsr.entries.assign(hostCsr.offsets.back(), 0);
-    for (const ComponentMapping& part : parts) {
-      const Csr& subCsr = part.table->*csr;
-      const std::size_t subRows = subRowsOf(*part.table);
-      for (std::size_t r = 0; r < subRows; ++r) {
-        std::uint32_t cursor = hostCsr.offsets[hostRowOf(part, r)];
-        for (std::uint32_t e = subCsr.offsets[r]; e < subCsr.offsets[r + 1];
-             ++e) {
-          hostCsr.entries[cursor++] = part.channelToHost[subCsr.entries[e]];
+      for (NodeId src = 0; src < n; ++src) {
+        if (nodeToSub[src] != topo::kInvalidNode) {
+          translate(sub.firstChannels(nodeToSub[src], subDst), scratch.entries);
         }
+        scratch.endRow();
       }
+      for (ChannelId in = 0; in < channels; ++in) {
+        const ChannelId subIn = channelToSub[in];
+        if (subIn != topo::kInvalidChannel) {
+          translate(sub.nextChannels(subIn, subDst), scratch.entries);
+          translate(sub.nextChannelsAnyTurn(subIn, subDst), scratch.anyEntries);
+        }
+        scratch.endRow();
+        scratch.endAnyRow();
+      }
+      // Pairs in different components are unreachable, so the component
+      // summary is the host summary.
+      const Summary& from = sub.blockSummary(subDst);
+      scratch.reachableSources = from.reachableSources;
+      scratch.distanceSum = from.distanceSum;
+      host.blocks_[part.nodeToHost[subDst]] = scratch.finish();
     }
-  };
-
-  translate(
-      n * n,
-      [](const RoutingTable& sub) {
-        return static_cast<std::size_t>(sub.nodeCount_) * sub.nodeCount_;
-      },
-      [n](const ComponentMapping& part, std::size_t r) {
-        const std::size_t subN = part.table->nodeCount_;
-        return static_cast<std::size_t>(part.nodeToHost[r / subN]) * n +
-               part.nodeToHost[r % subN];
-      },
-      &RoutingTable::first_, host);
-  const auto channelRows = [](const RoutingTable& sub) {
-    return static_cast<std::size_t>(sub.nodeCount_) * sub.channelCount_;
-  };
-  const auto channelRowOf = [channels](const ComponentMapping& part,
-                                       std::size_t r) {
-    const std::size_t subChannels = part.table->channelCount_;
-    return static_cast<std::size_t>(part.nodeToHost[r / subChannels]) *
-               channels +
-           part.channelToHost[r % subChannels];
-  };
-  translate(n * channels, channelRows, channelRowOf, &RoutingTable::next_,
-            host);
-  translate(n * channels, channelRows, channelRowOf, &RoutingTable::nextAny_,
-            host);
+    for (const NodeId v : part.nodeToHost) nodeToSub[v] = topo::kInvalidNode;
+    for (const ChannelId c : part.channelToHost) {
+      channelToSub[c] = topo::kInvalidChannel;
+    }
+  }
   return host;
 }
 
 std::uint16_t RoutingTable::distance(NodeId src, NodeId dst) const noexcept {
   if (src == dst) return 0;
-  std::uint16_t best = kNoPath;
-  for (ChannelId c : perms_->topology().outputChannels(src)) {
-    best = std::min(best, channelSteps(dst, c));
-  }
-  return best;
+  // Every first hop starts a minimal path, so any one gives the distance.
+  const auto first = firstChannels(src, dst);
+  return first.empty() ? kNoPath : channelSteps(dst, first.front());
 }
 
 void RoutingTable::firstChannels(NodeId src, NodeId dst,
@@ -676,30 +481,25 @@ void RoutingTable::nextChannelsAnyTurn(ChannelId in, NodeId dst,
   out.insert(out.end(), row.begin(), row.end());
 }
 
-bool RoutingTable::allPairsConnected() const noexcept {
-  const NodeId n = perms_->topology().nodeCount();
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      if (s != d && distance(s, d) == kNoPath) return false;
-    }
+RoutingTable::Reachability RoutingTable::reachability() const noexcept {
+  Reachability total;
+  for (NodeId d = 0; d < nodeCount_; ++d) {
+    total.pairs += blockSummary(d).reachableSources;
+    total.distanceSum += blockSummary(d).distanceSum;
   }
-  return true;
+  return total;
+}
+
+bool RoutingTable::allPairsConnected() const noexcept {
+  return reachability().pairs ==
+         static_cast<std::uint64_t>(nodeCount_) * (nodeCount_ - 1);
 }
 
 double RoutingTable::averagePathLength() const {
-  const NodeId n = perms_->topology().nodeCount();
-  double sum = 0.0;
-  std::uint64_t pairs = 0;
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const std::uint16_t dist = distance(s, d);
-      if (dist == kNoPath) continue;
-      sum += dist;
-      ++pairs;
-    }
-  }
-  return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+  const Reachability total = reachability();
+  return total.pairs == 0 ? 0.0
+                          : static_cast<double>(total.distanceSum) /
+                                static_cast<double>(total.pairs);
 }
 
 }  // namespace downup::routing

@@ -1,7 +1,9 @@
 // The fabric's zero-cost-when-disabled contract, asserted directly: with
 // no metrics or span recorder attached, the reader fast path (pin ->
 // lookups -> unpin) performs zero heap allocations, and the always-on
-// flight recorder's record() never allocates at all.
+// flight recorder's record() never allocates at all.  The same counters
+// check that an incremental epoch allocates in proportion to its dirty
+// destinations, not to the table.
 //
 // Separate binary: overrides the global allocation functions with counting
 // wrappers (one override per binary — test_release_alloc precedent).
@@ -10,8 +12,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
+#include "core/downup_routing.hpp"
 #include "fabric/manager.hpp"
 #include "obs/flight_recorder.hpp"
 #include "topology/generate.hpp"
@@ -21,10 +25,12 @@ namespace {
 
 std::atomic<bool> g_countAllocations{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocatedBytes{0};
 
 void* countedAlloc(std::size_t size) {
   if (g_countAllocations.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocatedBytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -108,6 +114,67 @@ TEST(FabricAllocTest, OracleViolationAnomalyRecordNeverAllocates) {
 
   EXPECT_EQ(g_allocations.load(), 0u) << "anomaly record() allocated";
   EXPECT_EQ(rec.recorded(), 1000u);
+}
+
+/// Heap bytes allocated, by any thread, while `fn` runs.
+template <class Fn>
+std::uint64_t bytesAllocatedBy(Fn&& fn) {
+  g_allocatedBytes.store(0, std::memory_order_relaxed);
+  g_countAllocations.store(true, std::memory_order_relaxed);
+  fn();
+  g_countAllocations.store(false, std::memory_order_relaxed);
+  return g_allocatedBytes.load(std::memory_order_relaxed);
+}
+
+TEST(FabricAllocTest, IncrementalEpochAllocatesForDirtyDestinationsOnly) {
+  util::Rng topoRng(5);
+  const topo::Topology topo =
+      topo::randomIrregular(512, {.maxPorts = 4}, topoRng);
+  util::Rng treeRng(6);
+  const routing::Routing healthy = core::buildDownUp(
+      topo, tree::CoordinatedTree::build(
+                topo, tree::TreePolicy::kM1SmallestFirst, treeRng));
+
+  // The link whose failure dirties the fewest destinations.
+  const auto maskWithout = [&topo](topo::LinkId dead) {
+    std::vector<std::uint64_t> alive((topo.channelCount() + 63) / 64, 0);
+    for (topo::ChannelId c = 0; c < topo.channelCount(); ++c) {
+      if (topo::Topology::linkOf(c) != dead) {
+        alive[c >> 6] |= std::uint64_t{1} << (c & 63);
+      }
+    }
+    return alive;
+  };
+  topo::LinkId victim = 0;
+  std::uint32_t fewest = topo.nodeCount();
+  for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+    const std::uint32_t dirty =
+        healthy.table().dirtyDestinationCount(maskWithout(l));
+    if (dirty < fewest) {
+      fewest = dirty;
+      victim = l;
+    }
+  }
+  ASSERT_LT(fewest, topo.nodeCount() / 20);
+  const std::vector<std::uint64_t> alive = maskWithout(victim);
+
+  const std::uint64_t fullBytes = bytesAllocatedBy([&] {
+    const routing::RoutingTable full =
+        routing::RoutingTable::build(healthy.permissions());
+    asm volatile("" : : "g"(&full) : "memory");
+  });
+  std::optional<routing::RoutingTable> incremental;
+  const std::uint64_t incrementalBytes = bytesAllocatedBy([&] {
+    incremental = routing::RoutingTable::rebuildDead(healthy.table(), nullptr,
+                                                     alive);
+  });
+  ASSERT_TRUE(incremental.has_value());
+  EXPECT_TRUE(incremental->identicalTo(
+      routing::RoutingTable::build(healthy.permissions(), nullptr, alive)));
+  EXPECT_GT(fullBytes, 0u);
+  EXPECT_LT(incrementalBytes * 20, fullBytes)
+      << fewest << " dirty destinations: " << incrementalBytes
+      << " bytes incremental vs " << fullBytes << " bytes full";
 }
 
 }  // namespace

@@ -96,23 +96,37 @@ TEST(IncrementalReconfigTest, AccumulatedFailuresAndThreadCountDeterminism) {
   ASSERT_TRUE(prev.ok());
 
   // Kill links one at a time, feeding each incremental epoch the previous
-  // one — the masks only ever clear bits, so the precondition holds.
+  // one — the masks only ever clear bits, so the precondition holds.  An
+  // incremental epoch shares its clean blocks with the epoch it came from,
+  // so the first three failures (all served incrementally) share blocks
+  // across three generations, and each must equal the masked full build of
+  // its rule.  Links 7 and 13 take the full-rebuild fallback.
   unsigned incrementalEpochs = 0;
-  for (const topo::LinkId l : {0u, 7u, 13u}) {
+  for (const topo::LinkId l : {0u, 1u, 18u, 7u, 13u}) {
+    SCOPED_TRACE(testing::Message() << "link " << l);
     linksUp[l] = 0;
     ReconfigOutcome serialOut =
         serial.rebuildIncremental(*prev.table, linksUp, nodesUp);
     ReconfigOutcome pooledOut =
         pooled.rebuildIncremental(*prev.table, linksUp, nodesUp);
+    // Destroy the parent epoch first, so that a shared block outliving its
+    // owner is a use-after-free the sanitizers see.
+    prev = ReconfigOutcome{};
     ASSERT_TRUE(serialOut.ok());
     ASSERT_TRUE(pooledOut.ok());
     EXPECT_EQ(serialOut.incremental, pooledOut.incremental);
     EXPECT_TRUE(serialOut.table->identicalTo(*pooledOut.table));
     EXPECT_EQ(serialOut.table->fingerprint(), pooledOut.table->fingerprint());
-    incrementalEpochs += serialOut.incremental ? 1 : 0;
+    if (serialOut.incremental) {
+      ++incrementalEpochs;
+      const routing::RoutingTable masked = routing::RoutingTable::build(
+          *serialOut.perms, nullptr, channelMask(topo, linksUp));
+      EXPECT_TRUE(serialOut.table->identicalTo(masked));
+      EXPECT_EQ(serialOut.table->fingerprint(), masked.fingerprint());
+    }
     prev = std::move(serialOut);
   }
-  EXPECT_GE(incrementalEpochs, 1u);
+  EXPECT_EQ(incrementalEpochs, 3u);
 }
 
 TEST(IncrementalReconfigTest, RevivalForcesFullRebuild) {

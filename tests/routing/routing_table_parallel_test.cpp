@@ -1,14 +1,15 @@
 // The parallel routing-table build contract: RoutingTable::build over a
 // worker pool is bit-for-bit identical to the serial build at any thread
-// count, on any topology.  The serial path (pool == nullptr or one
-// thread) runs the historical single-pass successor-index algorithm while
-// multi-thread pools take the two-phase count/fill CSR path, so comparing
-// thread counts 1 and 4 also cross-checks the two algorithms against each
-// other.  A golden fingerprint pins the layout itself: if either path, or
-// the CSR encoding, silently changes, the pin moves.
+// count, on any topology.  Every thread count runs the same per-destination
+// block construction, so the comparison checks that the fan-out (taken from
+// kParallelBuildMinDestinations destinations up) neither reorders nor mixes
+// blocks.  A golden fingerprint pins the contents themselves: if the
+// construction or the fingerprint's CSR encoding silently changes, the pin
+// moves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/downup_routing.hpp"
@@ -19,12 +20,16 @@
 namespace downup {
 namespace {
 
-routing::TurnPermissions makePerms(topo::NodeId switches, unsigned ports,
-                                   std::uint64_t seed) {
+/// A repaired and released DOWN/UP rule together with the topology it
+/// references (the topology stays put when the struct moves).
+struct Rule {
+  std::unique_ptr<topo::Topology> topo;
+  routing::TurnPermissions perms;
+};
+
+Rule makeRule(topo::NodeId switches, unsigned ports, std::uint64_t seed) {
   util::Rng topoRng(seed);
-  // Leaked on purpose: TurnPermissions keeps a reference to the topology
-  // and gtest processes exit immediately after the assertions.
-  auto* topo = new topo::Topology(
+  auto topo = std::make_unique<topo::Topology>(
       topo::randomIrregular(switches, {.maxPorts = ports}, topoRng));
   util::Rng treeRng(seed + 1);
   const tree::CoordinatedTree ct = tree::CoordinatedTree::build(
@@ -33,18 +38,18 @@ routing::TurnPermissions makePerms(topo::NodeId switches, unsigned ports,
                                  core::downUpTurnSet());
   core::repairTurnCycles(perms);
   core::releaseRedundantProhibitions(perms);
-  return perms;
+  return {std::move(topo), std::move(perms)};
 }
 
 TEST(RoutingTableParallelTest, OneVsFourThreadsIdenticalAcrossSizes) {
   util::ThreadPool one(1);
   util::ThreadPool four(4);
-  for (const topo::NodeId switches : {32u, 64u, 128u}) {
+  for (const topo::NodeId switches : {32u, 64u, 128u, 256u}) {
     for (const unsigned ports : {4u, 8u}) {
       SCOPED_TRACE(testing::Message()
                    << switches << " switches, " << ports << " ports");
-      const routing::TurnPermissions perms =
-          makePerms(switches, ports, 1000 + switches);
+      const Rule rule = makeRule(switches, ports, 1000 + switches);
+      const routing::TurnPermissions& perms = rule.perms;
       const routing::RoutingTable serial = routing::RoutingTable::build(perms);
       const routing::RoutingTable viaOne =
           routing::RoutingTable::build(perms, &one);
@@ -58,7 +63,8 @@ TEST(RoutingTableParallelTest, OneVsFourThreadsIdenticalAcrossSizes) {
 }
 
 TEST(RoutingTableParallelTest, MaskedBuildIdenticalAcrossThreadCounts) {
-  const routing::TurnPermissions perms = makePerms(64, 4, 77);
+  const Rule rule = makeRule(64, 4, 77);
+  const routing::TurnPermissions& perms = rule.perms;
   const topo::Topology& topo = perms.topology();
   std::vector<std::uint64_t> alive((topo.channelCount() + 63) / 64, 0);
   for (topo::ChannelId c = 0; c < topo.channelCount(); ++c) {
@@ -80,12 +86,13 @@ TEST(RoutingTableParallelTest, MaskedBuildIdenticalAcrossThreadCounts) {
 }
 
 // Golden pin: the 32-switch / 4-port reference table's fingerprint.  This
-// moves only if the construction algorithm, the CSR layout or the FNV
+// moves only if the construction algorithm, the hashed CSR order or the FNV
 // fold change — all of which are observable contract changes that golden
 // sim runs depend on.  Update the constant deliberately when one of those
 // changes on purpose.
 TEST(RoutingTableParallelTest, FingerprintGoldenPin) {
-  const routing::TurnPermissions perms = makePerms(32, 4, 1032);
+  const Rule rule = makeRule(32, 4, 1032);
+  const routing::TurnPermissions& perms = rule.perms;
   const routing::RoutingTable table = routing::RoutingTable::build(perms);
   const std::uint64_t pinned = table.fingerprint();
   EXPECT_NE(pinned, 0u);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "routing/direction.hpp"
 #include "topology/generate.hpp"
@@ -240,6 +243,42 @@ TEST(RoutingTable, AveragePathLengthOnCompleteGraph) {
                         TurnSet::allAllowed());
   const RoutingTable table = RoutingTable::build(perms);
   EXPECT_DOUBLE_EQ(table.averagePathLength(), 1.0);
+}
+
+// rebuildDead only removes channels.  A mask that revives one must be
+// refused in every build type, not only under a debug assert: sharing the
+// previous rows would leave the revived channel unrouted.
+TEST(RoutingTable, RebuildDeadRefusesRevivedChannel) {
+  const Topology topo = topo::ring(6);
+  TurnPermissions perms(topo, classifyUpDown(topo, m1Tree(topo)),
+                        upDownTurnSet());
+  std::vector<std::uint64_t> alive((topo.channelCount() + 63) / 64, 0);
+  const auto set = [&alive](ChannelId c, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (c & 63);
+    alive[c >> 6] = on ? (alive[c >> 6] | bit) : (alive[c >> 6] & ~bit);
+  };
+  for (ChannelId c = 0; c < topo.channelCount(); ++c) set(c, true);
+  set(0, false);  // link 0 dead in the previous table
+  set(1, false);
+  const RoutingTable degraded = RoutingTable::build(perms, nullptr, alive);
+  EXPECT_FALSE(degraded.channelAlive(0));
+  EXPECT_TRUE(degraded.channelAlive(2));
+
+  set(0, true);  // link 0 revives while link 2 dies
+  set(1, true);
+  set(4, false);
+  set(5, false);
+  EXPECT_FALSE(RoutingTable::rebuildDead(degraded, nullptr, alive).has_value());
+  EXPECT_EQ(degraded.dirtyDestinationCount(alive), topo.nodeCount());
+  // The empty mask means every channel alive, so it revives link 0 too.
+  EXPECT_FALSE(RoutingTable::rebuildDead(degraded, nullptr, {}).has_value());
+
+  set(0, false);  // a pure removal is accepted
+  set(1, false);
+  const std::optional<RoutingTable> removed =
+      RoutingTable::rebuildDead(degraded, nullptr, alive);
+  ASSERT_TRUE(removed.has_value());
+  EXPECT_TRUE(removed->identicalTo(RoutingTable::build(perms, nullptr, alive)));
 }
 
 }  // namespace
