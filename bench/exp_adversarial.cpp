@@ -5,10 +5,10 @@
 // each adversarial traffic pattern (uniform baseline, tornado, root-directed
 // hotspot storm, bursty MMPP), the bench sweeps offered load across the
 // saturation point while a seeded link-failure schedule churns the
-// topology.  Every cell runs with an OracleGate attached: table builds,
-// reconfiguration merges, epoch publishes and the engine's two
-// mid-reconfiguration snapshots are all cross-validated against the
-// peeling oracle (src/verify/).  The bench FAILS (exit 1) on any oracle
+// topology.  Every cell runs with an OracleGate attached: each baseline
+// routing, every epoch publish and the engine's two mid-reconfiguration
+// snapshots are all cross-validated against the peeling oracle
+// (src/verify/).  The bench FAILS (exit 1) on any oracle
 // violation, any undrained cell or any watchdog deadlock — it is the
 // standing adversarial-robustness assertion CI runs.
 //
@@ -116,13 +116,10 @@ int main(int argc, char** argv) {
   const tree::CoordinatedTree ct = tree::CoordinatedTree::build(
       topo, tree::TreePolicy::kM1SmallestFirst, treeRng);
 
-  // One gate for the whole surface: every table build in the process (the
-  // hook), every reconfiguration merge, every epoch publish and both
-  // mid-reconfiguration snapshots of every cell land in its ledger.
-  verify::OracleGate::Options gateOptions;
-  gateOptions.dumpPathPrefix = *dumpPrefix;
-  verify::OracleGate gate(gateOptions);
-  gate.installBuildHook();
+  // One gate for the whole surface: both baseline routings, every epoch
+  // publish and both mid-reconfiguration snapshots of every cell land in
+  // its ledger.
+  verify::OracleGate gate({.dumpPathPrefix = *dumpPrefix});
 
   const sim::UniformTraffic probeTraffic(topo.nodeCount());
   sim::SimConfig baseConfig = cli.simConfig();
@@ -159,6 +156,8 @@ int main(int argc, char** argv) {
   for (const Alg& alg : algs) {
     const routing::Routing routing =
         core::buildRouting(alg.algorithm, topo, ct, &pool);
+    gate.audit({.perms = &routing.permissions(), .table = &routing.table()},
+               {.point = "baseline"});
     const double saturation = stats::probeSaturationLoad(
         routing.table(), probeTraffic, baseConfig);
     std::cout << alg.name << ": saturation ~" << std::fixed
@@ -239,9 +238,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\noracle: " << gate.audits() << " audits ("
-            << gate.auditsAt("table_build") << " table_build, "
-            << gate.auditsAt("reconfig_full") << " reconfig_full, "
-            << gate.auditsAt("reconfig_incremental") << " reconfig_incr, "
+            << gate.auditsAt("baseline") << " baseline, "
             << gate.auditsAt("epoch_publish") << " epoch_publish, "
             << gate.auditsAt("mid_reconfig_quarantine") << " quarantine, "
             << gate.auditsAt("mid_reconfig_preswap") << " preswap), "

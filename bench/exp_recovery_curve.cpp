@@ -9,13 +9,14 @@
 // (exit 1) if any sample ever contains a channel wait cycle, making it a
 // standing no-deadlock assertion for CI, alongside drain + routing-verify.
 //
-// The independent deadlock oracle (src/verify/) is ON by default: every
-// table build, reconfiguration merge, epoch publish and both
-// mid-reconfiguration snapshots are cross-validated, and the bench fails
-// on any violation (or if fault churn ran without the oracle ever seeing a
-// quarantine state).  --plant-violation audits a deliberately corrupted
-// rule instead, proving the gate fires: the run then exits nonzero and
-// (with --oracle-dump PREFIX) leaves a replayable oracle_case/1 witness.
+// The independent deadlock oracle (src/verify/) is ON by default: the
+// baseline routing, every epoch publish and both mid-reconfiguration
+// snapshots are cross-validated, and the bench fails on any violation (or
+// if fault churn ran without the oracle ever seeing a quarantine state).
+// --plant-violation audits a deliberately corrupted rule instead, proving
+// the gate fires: the run then exits nonzero and (with --oracle-dump
+// PREFIX) leaves a replayable oracle_case/1 witness.  --no-oracle runs
+// without a gate, so combining it with --plant-violation is an error.
 //
 // Datasets (checked into results/ for the 32- and 1024-switch single-link
 // scenarios):
@@ -29,6 +30,7 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,16 +88,19 @@ int main(int argc, char** argv) {
       "oracle-dump", "",
       "replay-case path prefix for oracle violations (.caseN.jsonl)");
   cli.parse(argc, argv);
+  if (*noOracle && *plantViolation) {
+    std::cerr << "exp_recovery_curve: --plant-violation needs the oracle; "
+                 "drop --no-oracle\n"
+              << cli.cli().usage();
+    return 2;
+  }
   util::ThreadPool pool(static_cast<std::size_t>(cli.threads()));
 
-  // Gate first, build hook installed before any table exists, so the
-  // initial healthy build is audited too.
-  verify::OracleGate::Options gateOptions;
-  gateOptions.enabled = !*noOracle;
-  gateOptions.plantViolation = *plantViolation;
-  gateOptions.dumpPathPrefix = *oracleDump;
-  verify::OracleGate gate(gateOptions);
-  if (gateOptions.enabled) gate.installBuildHook();
+  std::optional<verify::OracleGate> gate;
+  if (!*noOracle) {
+    gate.emplace(verify::OracleGate::Options{
+        .dumpPathPrefix = *oracleDump, .plantViolation = *plantViolation});
+  }
 
   util::Rng rng(cli.seed());
   const topo::Topology topo = topo::randomIrregular(
@@ -106,12 +111,16 @@ int main(int argc, char** argv) {
       topo, tree::TreePolicy::kM1SmallestFirst, treeRng);
   const routing::Routing routing =
       core::buildDownUp(topo, ct, {.pool = &pool});
+  if (gate) {
+    gate->audit({.perms = &routing.permissions(), .table = &routing.table()},
+                {.point = "baseline"});
+  }
   const sim::UniformTraffic traffic(topo.nodeCount());
 
   sim::SimConfig config = cli.simConfig();
   config.reconfigLatencyCycles = static_cast<std::uint32_t>(*latency);
   config.seed = cli.seed() + 300;
-  if (gateOptions.enabled) config.oracleGate = &gate;
+  config.oracleGate = gate ? &*gate : nullptr;
 
   const double saturation =
       stats::probeSaturationLoad(routing.table(), traffic, config);
@@ -219,24 +228,22 @@ int main(int argc, char** argv) {
               << (run.cycleSamples == 0 ? " (no deadlock risk observed)"
                                         : " [WAIT-FOR CYCLE OBSERVED]");
   }
-  if (gateOptions.enabled) {
-    std::cout << "\n\noracle: " << gate.audits() << " audits ("
-              << gate.auditsAt("table_build") << " table_build, "
-              << gate.auditsAt("reconfig_full") << " reconfig_full, "
-              << gate.auditsAt("reconfig_incremental") << " reconfig_incr, "
-              << gate.auditsAt("epoch_publish") << " epoch_publish, "
-              << gate.auditsAt("mid_reconfig_quarantine") << " quarantine, "
-              << gate.auditsAt("mid_reconfig_preswap") << " preswap), "
-              << gate.violations() << " violation(s)";
-    if (gate.violations() != 0) {
+  if (gate) {
+    std::cout << "\n\noracle: " << gate->audits() << " audits ("
+              << gate->auditsAt("baseline") << " baseline, "
+              << gate->auditsAt("epoch_publish") << " epoch_publish, "
+              << gate->auditsAt("mid_reconfig_quarantine") << " quarantine, "
+              << gate->auditsAt("mid_reconfig_preswap") << " preswap), "
+              << gate->violations() << " violation(s)";
+    if (gate->violations() != 0) {
       ok = false;
-      std::cout << "\n" << gate.lastViolation().describe();
-      if (!gate.lastCasePath().empty()) {
-        std::cout << "\nlast replay case: " << gate.lastCasePath();
+      std::cout << "\n" << gate->lastViolation().describe();
+      if (!gate->lastCasePath().empty()) {
+        std::cout << "\nlast replay case: " << gate->lastCasePath();
       }
     }
     if (schedule.size() > 0 &&
-        gate.auditsAt("mid_reconfig_quarantine") == 0) {
+        gate->auditsAt("mid_reconfig_quarantine") == 0) {
       std::cout << "\nERROR: faults fired but no mid-reconfiguration "
                    "quarantine state was audited";
       ok = false;

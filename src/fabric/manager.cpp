@@ -21,7 +21,6 @@ FabricManager::FabricManager(const topo::Topology& topo,
       appliedLink_(topo.linkCount(), 1),
       appliedNode_(topo.nodeCount(), 1) {
   reconfigurator_.setSpans(options_.spans);
-  reconfigurator_.setOracle(options_.oracle);
   publisher_.setMetrics(options_.metrics);
 }
 
@@ -82,9 +81,10 @@ PublishResult FabricManager::rebuildAndPublish(
   result.unreachablePairs = outcome.unreachablePairs;
   result.components = outcome.components;
   result.ok = outcome.ok();
-  // Independent gate on the epoch about to go live.  Shared by driven and
-  // service publishes; observational only (the publish proceeds so the
-  // engine's deterministic swap protocol is unaffected).
+  // Independent gate on the epoch about to go live: the only oracle audit
+  // of a published epoch.  Shared by driven and service publishes;
+  // observational only (the publish proceeds so the engine's deterministic
+  // swap protocol is unaffected).
   if (options_.oracle != nullptr) {
     std::vector<std::uint8_t> channelAlive(topo_->channelCount(), 0);
     for (topo::LinkId l = 0; l < topo_->linkCount(); ++l) {

@@ -88,13 +88,12 @@ class FabricManager final : public fault::FaultEventSink {
     /// two).  The recorder itself is always on — see flightRecorder().
     std::size_t flightCapacity = 1024;
     /// Optional independent deadlock oracle (verify/gate.hpp).  When set,
-    /// the Reconfigurator audits every merged outcome and the manager
-    /// audits every epoch at "epoch_publish" just before it goes live —
-    /// from BOTH writer modes, since driven and service publishes share
-    /// rebuildAndPublish().  A violation records a kOracleViolation
-    /// anomaly and bumps oracleViolations() but never blocks the publish:
-    /// enforcement stays with the caller so driven-mode determinism holds.
-    /// Must outlive the manager.
+    /// the manager audits every epoch exactly once, at "epoch_publish"
+    /// just before it goes live — from BOTH writer modes, since driven and
+    /// service publishes share rebuildAndPublish().  A violation records a
+    /// kOracleViolation anomaly and bumps oracleViolations() but never
+    /// blocks the publish: enforcement stays with the caller so driven-mode
+    /// determinism holds.  Must outlive the manager.
     verify::OracleGate* oracle = nullptr;
   };
 

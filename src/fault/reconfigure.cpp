@@ -8,7 +8,6 @@
 #include "routing/cdg.hpp"
 #include "tree/coordinated_tree.hpp"
 #include "util/rng.hpp"
-#include "verify/gate.hpp"
 
 namespace downup::fault {
 
@@ -161,17 +160,21 @@ ReconfigOutcome Reconfigurator::rebuild(
     part.routing = std::make_unique<routing::Routing>(
         core::buildDownUp(*part.sub, ct, {.pool = pool_, .spans = spans_}));
 
+    // The incremental path's two checks: an acyclic channel-dependency
+    // graph, and the table's reachability summary for connectivity.
     util::ScopedSpan verifySpan(spans_, "verify");
-    const routing::VerifyReport report = routing::verifyRouting(*part.routing);
-    verifySpan.close();
-    out.deadlockFree = out.deadlockFree && report.deadlockFree;
-    out.componentsConnected = out.componentsConnected && report.connected;
-    out.unreachablePairs += report.unreachablePairs;
-    const std::uint64_t pairs =
-        static_cast<std::uint64_t>(m.size()) * (m.size() - 1) -
-        report.unreachablePairs;
-    pathLengthSum += report.averagePathLength * static_cast<double>(pairs);
+    const RoutingTable& table = part.routing->table();
+    out.deadlockFree =
+        out.deadlockFree &&
+        routing::checkChannelDependencies(part.routing->permissions()).acyclic;
+    const std::uint64_t pairs = table.reachability().pairs;
+    const std::uint64_t unreachable =
+        static_cast<std::uint64_t>(m.size()) * (m.size() - 1) - pairs;
+    out.componentsConnected = out.componentsConnected && unreachable == 0;
+    out.unreachablePairs += unreachable;
+    pathLengthSum += table.averagePathLength() * static_cast<double>(pairs);
     reachablePairs += pairs;
+    verifySpan.close();
     parts.push_back(std::move(part));
   }
   out.averagePathLength =
@@ -218,28 +221,7 @@ ReconfigOutcome Reconfigurator::rebuild(
   }
   out.table = std::make_unique<RoutingTable>(
       RoutingTable::remapComponents(*out.perms, mappings));
-  auditOutcome(out, linkAlive, nodeAlive, "reconfig_full");
   return out;
-}
-
-void Reconfigurator::auditOutcome(const ReconfigOutcome& out,
-                                  std::span<const std::uint8_t> linkAlive,
-                                  std::span<const std::uint8_t> nodeAlive,
-                                  const char* point) const {
-  if (oracle_ == nullptr) return;
-  const Topology& topo = *topo_;
-  std::vector<std::uint8_t> channelAlive(topo.channelCount(), 0);
-  for (LinkId l = 0; l < topo.linkCount(); ++l) {
-    const auto [a, b] = topo.linkEnds(l);
-    const std::uint8_t alive = linkAlive[l] && nodeAlive[a] && nodeAlive[b];
-    channelAlive[2 * l] = alive;
-    channelAlive[2 * l + 1] = alive;
-  }
-  verify::OracleInput input;
-  input.perms = out.perms.get();
-  input.table = out.table.get();
-  input.channelAlive = channelAlive;
-  oracle_->audit(input, {.point = point});
 }
 
 std::vector<std::uint64_t> Reconfigurator::channelAliveWords(
@@ -328,7 +310,6 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
     return rebuild(linkAlive, nodeAlive);
   }
   out.averagePathLength = out.table->averagePathLength();
-  auditOutcome(out, linkAlive, nodeAlive, "reconfig_incremental");
   return out;
 }
 

@@ -12,6 +12,13 @@
 // graphs of distinct components are disjoint, so the merged rule is
 // deadlock-free iff each component's rule is; pairs in different components
 // stay unreachable and are reported for the engine to drop with attribution.
+//
+// Both rebuild paths verify an outcome with the same two checks: the
+// turn rule's channel-dependency graph is acyclic (checkChannelDependencies)
+// and the table's reachability summary accounts for every within-component
+// pair.  The independent oracle (verify/gate.hpp) audits what goes live,
+// once per epoch, in FabricManager's publish; a Reconfigurator outcome that
+// is never published is not audited.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +26,6 @@
 #include <span>
 
 #include "routing/routing_table.hpp"
-#include "routing/verify.hpp"
-
-namespace downup::verify {
-class OracleGate;
-}
 
 namespace downup::fault {
 
@@ -75,13 +77,6 @@ class Reconfigurator {
   /// set it before rebuilds start.
   void setSpans(util::SpanRecorder* spans) noexcept { spans_ = spans; }
 
-  /// Attaches the independent deadlock oracle (verify/gate.hpp): every
-  /// merged outcome — full rebuilds at "reconfig_full", incremental epochs
-  /// at "reconfig_incremental" — is audited against its alive-channel mask
-  /// before it is returned.  Same lifetime/synchronisation contract as
-  /// setSpans; nullptr (the default) is a never-taken branch per rebuild.
-  void setOracle(verify::OracleGate* oracle) noexcept { oracle_ = oracle; }
-
   /// Rebuilds routing over the subgraph restricted to nodes with
   /// nodeAlive[v] != 0 and links with linkAlive[l] != 0 (a dead endpoint
   /// implies a dead link regardless of linkAlive).  Deterministic: uses the
@@ -116,15 +111,9 @@ class Reconfigurator {
       std::span<const std::uint8_t> linkAlive,
       std::span<const std::uint8_t> nodeAlive) const;
 
-  void auditOutcome(const ReconfigOutcome& out,
-                    std::span<const std::uint8_t> linkAlive,
-                    std::span<const std::uint8_t> nodeAlive,
-                    const char* point) const;
-
   const topo::Topology* topo_;
   util::ThreadPool* pool_ = nullptr;
   util::SpanRecorder* spans_ = nullptr;
-  verify::OracleGate* oracle_ = nullptr;
 };
 
 }  // namespace downup::fault

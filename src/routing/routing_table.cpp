@@ -6,7 +6,6 @@
 #include <new>
 #include <numeric>
 
-#include "routing/audit.hpp"
 #include "util/thread_pool.hpp"
 
 namespace downup::routing {
@@ -218,7 +217,6 @@ RoutingTable RoutingTable::build(const TurnPermissions& perms,
   std::vector<NodeId> all(table.nodeCount_);
   std::iota(all.begin(), all.end(), NodeId{0});
   table.installBlocks(all, nullptr, channelAlive, pool, buildSpan, spans);
-  invokeTableAuditHook(perms, table, channelAlive);
   return table;
 }
 
@@ -315,7 +313,6 @@ std::optional<RoutingTable> RoutingTable::rebuildDead(
   RoutingTable table(*prev.perms_, channelAlive);
   table.masked_ = prev.masked_ || !newlyDead.empty();
   table.installBlocks(dirty, &prev, channelAlive, pool, buildSpan, spans);
-  invokeTableAuditHook(*table.perms_, table, channelAlive);
   return table;
 }
 

@@ -108,10 +108,10 @@ struct SimConfig {
   fault::InjectionPolicy faultInjectionPolicy = fault::InjectionPolicy::kPark;
   /// Optional independent deadlock oracle (verify/gate.hpp).  Non-owning —
   /// must outlive the run.  When set alongside a fault schedule, the gate
-  /// is handed to the fabric manager (auditing every reconfiguration
-  /// outcome and epoch publish) and the engine additionally audits its own
-  /// occupancy state against the stale rule at the two mid-reconfiguration
-  /// points: "mid_reconfig_quarantine" when a window opens (quarantined
+  /// is handed to the fabric manager (auditing every epoch publish) and
+  /// the engine additionally audits its own occupancy state against the
+  /// stale rule at the two mid-reconfiguration points:
+  /// "mid_reconfig_quarantine" when a window opens (quarantined
   /// worms + frozen injection + old table) and "mid_reconfig_preswap" just
   /// before the new epoch is swapped in.  Audits are read-only, draw no
   /// RNG and never block the run, so results are bit-for-bit identical

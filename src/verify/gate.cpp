@@ -3,7 +3,6 @@
 #include <fstream>
 #include <optional>
 
-#include "routing/audit.hpp"
 #include "topology/topology.hpp"
 
 namespace downup::verify {
@@ -20,41 +19,7 @@ TurnPermissions unrestrictedCopy(const TurnPermissions& perms) {
   return TurnPermissions(topo, std::move(dirs), TurnSet::allAllowed());
 }
 
-namespace {
-
-void buildHookTrampoline(void* ctx, const TurnPermissions& perms,
-                         const routing::RoutingTable& table,
-                         std::span<const std::uint64_t> channelAlive) {
-  auto* gate = static_cast<OracleGate*>(ctx);
-  OracleInput input;
-  input.perms = &perms;
-  input.table = &table;
-  // The build mask is bit-packed; the oracle takes bytes.
-  std::vector<std::uint8_t> alive;
-  if (!channelAlive.empty()) {
-    alive.resize(perms.topology().channelCount());
-    for (ChannelId c = 0; c < alive.size(); ++c) {
-      alive[c] = (channelAlive[c >> 6] >> (c & 63)) & 1u;
-    }
-    input.channelAlive = alive;
-  }
-  gate->audit(input, {.point = "table_build"});
-}
-
-}  // namespace
-
-OracleGate::~OracleGate() { uninstallBuildHook(); }
-
-void OracleGate::installBuildHook() {
-  routing::setTableAuditHook(&buildHookTrampoline, this);
-}
-
-void OracleGate::uninstallBuildHook() {
-  routing::setTableAuditHook(nullptr, nullptr);
-}
-
 bool OracleGate::audit(const OracleInput& input, const CaseContext& context) {
-  if (!options_.enabled) return true;
   audits_.fetch_add(1, std::memory_order_relaxed);
 
   OracleInput effective = input;
@@ -70,8 +35,7 @@ bool OracleGate::audit(const OracleInput& input, const CaseContext& context) {
   if (effective.table != nullptr) {
     effective.deepDistanceCheck =
         effective.deepDistanceCheck ||
-        (options_.deepDistanceCheck &&
-         effective.perms->topology().channelCount() <= options_.deepMaxChannels);
+        effective.perms->topology().channelCount() <= kDeepMaxChannels;
   }
 
   const OracleReport report = runOracle(effective);
@@ -92,7 +56,7 @@ void OracleGate::dumpCase(const OracleInput& input, const OracleReport& report,
                           const CaseContext& context) {
   if (options_.dumpPathPrefix.empty()) return;
   const std::uint64_t n = casesDumped_.fetch_add(1, std::memory_order_relaxed);
-  if (n >= options_.maxDumpedCases) {
+  if (n >= kMaxDumpedCases) {
     casesDumped_.fetch_sub(1, std::memory_order_relaxed);
     return;
   }

@@ -1,15 +1,17 @@
 // OracleGate: the opt-in enforcement wrapper around runOracle().
 //
-// One gate instance is shared by every audit point in a process — the
-// RoutingTable::build hook, the Reconfigurator's merge results, every
-// FabricManager epoch publish and the simulator's mid-reconfiguration
-// snapshots.  The gate serialises audits behind a mutex (table builds can
-// run concurrently inside sweeps), counts verdicts per audit point, and on
-// a violation dumps a replayable oracle_case/1 JSONL witness
-// (verify/replay.hpp).  It never mutates the audited structures, draws no
-// RNG and never blocks a publish: enforcement is the caller's job (benches
-// exit nonzero, the fabric records a kOracleViolation anomaly), so
-// driven-mode determinism is preserved even under a failing gate.
+// One gate instance is shared by every audit point in a process.  The
+// points that remain are: "baseline" (a caller auditing a routing it built
+// itself, as exp_adversarial and exp_recovery_curve do), "epoch_publish"
+// (every FabricManager publish, the only audit of a published epoch) and
+// the simulator's "mid_reconfig_quarantine" / "mid_reconfig_preswap"
+// occupancy snapshots.  Audits may run concurrently (the simulations of a
+// parallel sweep share one gate); a mutex guards the per-point verdict
+// ledger.  On a violation the gate dumps a replayable oracle_case/1 JSONL
+// witness (verify/replay.hpp).  It never mutates the audited structures,
+// draws no RNG and never blocks a publish: enforcement is the caller's job
+// (benches exit nonzero, the fabric records a kOracleViolation anomaly),
+// so driven-mode determinism is preserved even under a failing gate.
 //
 // `plantViolation` is the built-in fault injection: instead of the real
 // rule the gate audits an unrestricted copy (every turn allowed, blocks
@@ -38,16 +40,16 @@ routing::TurnPermissions unrestrictedCopy(const routing::TurnPermissions& perms)
 
 class OracleGate {
  public:
+  /// Audits that supply a table also run the forward-BFS distance
+  /// cross-check when the topology has at most this many channels (the
+  /// check is O(nodes x channels)).
+  static constexpr std::uint32_t kDeepMaxChannels = 8192;
+  /// Violations beyond this many are counted but not dumped.
+  static constexpr std::uint32_t kMaxDumpedCases = 8;
+
   struct Options {
-    bool enabled = true;
-    /// Run the forward-BFS distance cross-check when a table is supplied
-    /// and the topology has at most `deepMaxChannels` channels (the check
-    /// is O(nodes x channels)).
-    bool deepDistanceCheck = true;
-    std::uint32_t deepMaxChannels = 8192;
     /// When non-empty, violations dump to `<prefix>.case<N>.jsonl`.
     std::string dumpPathPrefix;
-    std::uint32_t maxDumpedCases = 8;
     /// Fault injection: audit an unrestricted copy of each rule instead of
     /// the rule itself (see unrestrictedCopy).
     bool plantViolation = false;
@@ -58,19 +60,11 @@ class OracleGate {
 
   OracleGate(const OracleGate&) = delete;
   OracleGate& operator=(const OracleGate&) = delete;
-  ~OracleGate();
 
   /// Audits one snapshot; true = clean.  Thread-safe; read-only on the
-  /// audited structures; disabled gates return true without running.
+  /// audited structures.
   bool audit(const OracleInput& input, const CaseContext& context);
 
-  /// Installs this gate as the global RoutingTable::build audit hook
-  /// (routing/audit.hpp); every table construction in the process is then
-  /// audited at point "table_build".  The destructor uninstalls.
-  void installBuildHook();
-  static void uninstallBuildHook();
-
-  bool enabled() const noexcept { return options_.enabled; }
   std::uint64_t audits() const noexcept {
     return audits_.load(std::memory_order_relaxed);
   }
@@ -80,7 +74,7 @@ class OracleGate {
   std::uint64_t casesDumped() const noexcept {
     return casesDumped_.load(std::memory_order_relaxed);
   }
-  /// Audits observed at one audit point ("table_build", "epoch_publish",
+  /// Audits observed at one audit point ("baseline", "epoch_publish",
   /// "mid_reconfig_quarantine", ...).
   std::uint64_t auditsAt(std::string_view point) const;
   std::string lastCasePath() const;

@@ -23,7 +23,7 @@ namespace downup::verify {
 /// Context the gate attaches to a dumped case (where in the system the
 /// audited snapshot came from).
 struct CaseContext {
-  std::string point;  // "table_build", "epoch_publish", "mid_reconfig", ...
+  std::string point;  // "baseline", "epoch_publish", "mid_reconfig_preswap", ...
   std::uint64_t cycle = 0;
   std::uint64_t epoch = 0;
   /// Optional WaitForSampler witness observed around the violation.

@@ -199,14 +199,22 @@ TEST(FabricManagerTest, CleanOracleAuditsEveryDrivenPublishSilently) {
 
   std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
   const std::vector<std::uint8_t> nodesUp = allAlive(fx.topo.nodeCount());
+  linksUp[1] = 0;  // the inherited rule still serves every pair
+  const PublishResult incremental =
+      fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/true);
+  EXPECT_TRUE(incremental.published);
+  EXPECT_TRUE(incremental.incremental);
   linksUp[2] = 0;
-  const PublishResult result =
+  const PublishResult full =
       fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/false);
-  EXPECT_TRUE(result.published);
+  EXPECT_TRUE(full.published);
+  EXPECT_FALSE(full.incremental);
 
-  // The reconfiguration merge and the epoch publish were both audited...
-  EXPECT_GE(gate.auditsAt("reconfig_full"), 1u);
-  EXPECT_GE(gate.auditsAt("epoch_publish"), 1u);
+  // Each published epoch was audited exactly once, at the publish, on both
+  // rebuild paths...
+  EXPECT_EQ(gate.audits(), 2u);
+  EXPECT_EQ(gate.auditsAt("epoch_publish"), 2u);
+  EXPECT_EQ(gate.auditsAt("reconfig_full"), 0u);
   // ...and a healthy rule leaves no trace anywhere.
   EXPECT_EQ(gate.violations(), 0u);
   EXPECT_EQ(fm.oracleViolations(), 0u);
@@ -255,6 +263,7 @@ TEST(FabricManagerTest, ServiceModeRebuildsAuditThroughTheSameGate) {
   fm.stopService();
 
   EXPECT_GE(gate.auditsAt("epoch_publish"), 1u);
+  EXPECT_EQ(gate.audits(), fm.rebuilds());  // one audit per published epoch
   EXPECT_EQ(fm.oracleViolations(), 1u);
   EXPECT_GE(oracleAnomalies(fm.flightRecorder()), 1u);
   EXPECT_EQ(fm.currentEpoch(), 1u);  // publish still happened

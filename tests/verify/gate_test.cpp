@@ -1,7 +1,7 @@
 // OracleGate semantics: per-point audit ledger, the planted-violation fault
-// injection (with its replayable dump), the global RoutingTable::build
-// hook, and the bit-for-bit inertness contract — attaching a gate to a
-// fault-injected simulation must not change a single statistic.
+// injection (with its replayable dump and its dump budget), and the
+// bit-for-bit inertness contract — attaching a gate to a fault-injected
+// simulation must not change a single statistic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,7 +58,7 @@ TEST(OracleGateTest, LedgerCountsAuditsPerPoint) {
   input.perms = &s.routing.permissions();
 
   CaseContext context;
-  context.point = "table_build";
+  context.point = "baseline";
   EXPECT_TRUE(gate.audit(input, context));
   EXPECT_TRUE(gate.audit(input, context));
   context.point = "epoch_publish";
@@ -66,24 +66,10 @@ TEST(OracleGateTest, LedgerCountsAuditsPerPoint) {
 
   EXPECT_EQ(gate.audits(), 3u);
   EXPECT_EQ(gate.violations(), 0u);
-  EXPECT_EQ(gate.auditsAt("table_build"), 2u);
+  EXPECT_EQ(gate.auditsAt("baseline"), 2u);
   EXPECT_EQ(gate.auditsAt("epoch_publish"), 1u);
   EXPECT_EQ(gate.auditsAt("never_seen"), 0u);
   EXPECT_TRUE(gate.lastCasePath().empty());
-}
-
-TEST(OracleGateTest, DisabledGatePassesWithoutAuditing) {
-  const Scenario s = makeScenario(22);
-  OracleGate::Options options;
-  options.enabled = false;
-  options.plantViolation = true;  // would fire if the gate ran
-  OracleGate gate(options);
-
-  OracleInput input;
-  input.perms = &s.routing.permissions();
-  EXPECT_TRUE(gate.audit(input, {.point = "table_build"}));
-  EXPECT_EQ(gate.audits(), 0u);
-  EXPECT_EQ(gate.violations(), 0u);
 }
 
 TEST(OracleGateTest, PlantedViolationFiresAndDumpsReplayableCase) {
@@ -127,33 +113,15 @@ TEST(OracleGateTest, DumpBudgetBoundsFilesNotViolations) {
   OracleGate::Options options;
   options.plantViolation = true;
   options.dumpPathPrefix = ::testing::TempDir() + "gate_test_budget";
-  options.maxDumpedCases = 1;
   OracleGate gate(options);
 
   OracleInput input;
   input.perms = &s.routing.permissions();
-  EXPECT_FALSE(gate.audit(input, {.point = "table_build"}));
-  EXPECT_FALSE(gate.audit(input, {.point = "table_build"}));
-  EXPECT_EQ(gate.violations(), 2u);
-  EXPECT_EQ(gate.casesDumped(), 1u);
-}
-
-TEST(OracleGateTest, BuildHookAuditsEveryTableConstruction) {
-  const Scenario s = makeScenario(25);
-  OracleGate gate;
-  gate.installBuildHook();
-  const std::uint64_t before = gate.auditsAt("table_build");
-
-  // Routing's constructor builds a RoutingTable, which fires the hook.
-  const routing::Routing rebuilt = core::buildDownUp(s.topo, s.ct);
-  EXPECT_GT(gate.auditsAt("table_build"), before);
-  EXPECT_EQ(gate.violations(), 0u);
-
-  OracleGate::uninstallBuildHook();
-  const std::uint64_t after = gate.auditsAt("table_build");
-  const routing::Routing unaudited = core::buildDownUp(s.topo, s.ct);
-  EXPECT_EQ(gate.auditsAt("table_build"), after);
-  EXPECT_EQ(unaudited.table().fingerprint(), rebuilt.table().fingerprint());
+  for (int i = 0; i < 9; ++i) {
+    EXPECT_FALSE(gate.audit(input, {.point = "baseline"}));
+  }
+  EXPECT_EQ(gate.violations(), 9u);
+  EXPECT_EQ(gate.casesDumped(), 8u);
 }
 
 TEST(OracleGateTest, FaultedSimulationIsBitForBitInertUnderTheGate) {
@@ -185,7 +153,7 @@ TEST(OracleGateTest, FaultedSimulationIsBitForBitInertUnderTheGate) {
   OracleGate gate;
   const sim::RunStats gated = runOnce(&gate);
 
-  // The gate really ran (reconfiguration + both mid-reconfig points)...
+  // The gate really ran (epoch publish + both mid-reconfig points)...
   EXPECT_GT(gate.audits(), 0u);
   EXPECT_GE(gate.auditsAt("mid_reconfig_quarantine"), 1u);
   EXPECT_GE(gate.auditsAt("mid_reconfig_preswap"), 1u);
