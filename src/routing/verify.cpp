@@ -30,9 +30,12 @@ VerifyReport verifyRouting(const Routing& routing) {
   double pathSum = 0.0;
   double stretchSum = 0.0;
   std::uint64_t pairs = 0;
-  for (NodeId s = 0; s < n; ++s) {
-    const auto graphDist = topo::bfsDistances(topo, s);
-    for (NodeId d = 0; d < n; ++d) {
+  // Destinations outside, so each destination's table block is read once.
+  // The topology is undirected: one BFS from d gives every source's graph
+  // distance to d.
+  for (NodeId d = 0; d < n; ++d) {
+    const auto graphDist = topo::bfsDistances(topo, d);
+    for (NodeId s = 0; s < n; ++s) {
       if (s == d) continue;
       const std::uint16_t legal = table.distance(s, d);
       if (legal == kNoPath) {
@@ -41,9 +44,9 @@ VerifyReport verifyRouting(const Routing& routing) {
       }
       pathSum += legal;
       const double stretch =
-          graphDist[d] == 0 ? 1.0
+          graphDist[s] == 0 ? 1.0
                             : static_cast<double>(legal) /
-                                  static_cast<double>(graphDist[d]);
+                                  static_cast<double>(graphDist[s]);
       stretchSum += stretch;
       report.maxStretch = std::max(report.maxStretch, stretch);
       ++pairs;

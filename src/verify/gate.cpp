@@ -32,11 +32,9 @@ bool OracleGate::audit(const OracleInput& input, const CaseContext& context) {
     effective.perms = &*planted;
     effective.table = nullptr;
   }
-  if (effective.table != nullptr) {
-    effective.deepDistanceCheck =
-        effective.deepDistanceCheck ||
-        effective.perms->topology().channelCount() <= kDeepMaxChannels;
-  }
+  // Every audit with a table checks its steps rows too: the fixed-point
+  // check costs the same order as the row check it runs beside.
+  if (effective.table != nullptr) effective.deepDistanceCheck = true;
 
   const OracleReport report = runOracle(effective);
 

@@ -5,7 +5,10 @@
 // itself, as exp_adversarial and exp_recovery_curve do), "epoch_publish"
 // (every FabricManager publish, the only audit of a published epoch) and
 // the simulator's "mid_reconfig_quarantine" / "mid_reconfig_preswap"
-// occupancy snapshots.  Audits may run concurrently (the simulations of a
+// occupancy snapshots.  Every audit that supplies a table runs the full
+// table check, steps rows included (OracleInput::deepDistanceCheck), at
+// any fabric size: the steps check costs the same order as the row check
+// it runs beside.  Audits may run concurrently (the simulations of a
 // parallel sweep share one gate); a mutex guards the per-point verdict
 // ledger.  On a violation the gate dumps a replayable oracle_case/1 JSONL
 // witness (verify/replay.hpp).  It never mutates the audited structures,
@@ -40,10 +43,6 @@ routing::TurnPermissions unrestrictedCopy(const routing::TurnPermissions& perms)
 
 class OracleGate {
  public:
-  /// Audits that supply a table also run the forward-BFS distance
-  /// cross-check when the topology has at most this many channels (the
-  /// check is O(nodes x channels)).
-  static constexpr std::uint32_t kDeepMaxChannels = 8192;
   /// Violations beyond this many are counted but not dumped.
   static constexpr std::uint32_t kMaxDumpedCases = 8;
 

@@ -104,12 +104,20 @@ std::vector<ChannelId> extractCoreCycle(const PeelGraph& g,
   return {walk.begin() + walkIndex[cur], walk.end()};
 }
 
-/// CSR of the permission CDG restricted to alive channels: edge c -> c'
-/// when dst(c) may forward a packet from c onto c'.
-PeelGraph buildRuleGraph(const TurnPermissions& perms,
-                         std::span<const std::uint8_t> alive) {
+/// CSR over the alive channels: edge c -> c' for every alive output c' of
+/// dst(c) that the rule lets a packet turn onto from c — the permission
+/// CDG — or, with `anyTurn`, every alive output but c's U-turn (the
+/// candidates of the table's any-turn rows).  Targets keep
+/// outputChannels order.
+PeelGraph buildTurnGraph(const TurnPermissions& perms,
+                         std::span<const std::uint8_t> alive, bool anyTurn) {
   const Topology& topo = perms.topology();
   const std::uint32_t channels = topo.channelCount();
+  const auto follows = [&](NodeId via, ChannelId c, ChannelId out) {
+    return aliveChannel(alive, out) &&
+           (anyTurn ? out != Topology::reverseChannel(c)
+                    : perms.allowed(via, c, out));
+  };
   PeelGraph g;
   g.member.assign(channels, 0);
   g.offsets.assign(channels + 1, 0);
@@ -118,9 +126,7 @@ PeelGraph buildRuleGraph(const TurnPermissions& perms,
     g.member[c] = 1;
     const topo::NodeId via = topo.channelDst(c);
     for (const ChannelId out : topo.outputChannels(via)) {
-      if (aliveChannel(alive, out) && perms.allowed(via, c, out)) {
-        ++g.offsets[c + 1];
-      }
+      if (follows(via, c, out)) ++g.offsets[c + 1];
     }
   }
   for (ChannelId c = 0; c < channels; ++c) g.offsets[c + 1] += g.offsets[c];
@@ -131,9 +137,7 @@ PeelGraph buildRuleGraph(const TurnPermissions& perms,
       if (!g.member[c]) continue;
       const topo::NodeId via = topo.channelDst(c);
       for (const ChannelId out : topo.outputChannels(via)) {
-        if (aliveChannel(alive, out) && perms.allowed(via, c, out)) {
-          g.targets[cursor[c]++] = out;
-        }
+        if (follows(via, c, out)) g.targets[cursor[c]++] = out;
       }
     }
   }
@@ -175,104 +179,94 @@ PeelGraph buildStateGraph(std::uint32_t channels,
   return g;
 }
 
-/// Candidate-row audit: every first/next row must contain exactly the
-/// outputs the turn rule and the steps law admit.  Counts discrepancies in
-/// either direction (illegal entry present, legal entry omitted).
-std::uint64_t auditCandidates(const routing::RoutingTable& table,
-                              const TurnPermissions& perms,
-                              std::span<const std::uint8_t> alive) {
-  const Topology& topo = perms.topology();
-  const NodeId n = topo.nodeCount();
-  const std::uint32_t channels = topo.channelCount();
-  std::uint64_t violations = 0;
-  std::vector<ChannelId> expected;
-  const auto mismatch = [&](std::span<const ChannelId> got) {
-    if (got.size() != expected.size()) return true;
-    return !std::equal(got.begin(), got.end(), expected.begin());
-  };
-  for (NodeId dst = 0; dst < n; ++dst) {
-    for (NodeId src = 0; src < n; ++src) {
-      expected.clear();
-      if (src != dst) {
-        // Injection has no in-channel constraint: every alive output that
-        // starts a minimal legal path is a candidate.
-        std::uint16_t best = kNoPath;
-        for (const ChannelId o : topo.outputChannels(src)) {
-          if (!aliveChannel(alive, o)) continue;
-          best = std::min(best, table.channelSteps(dst, o));
-        }
-        if (best != kNoPath) {
-          for (const ChannelId o : topo.outputChannels(src)) {
-            if (aliveChannel(alive, o) && table.channelSteps(dst, o) == best) {
-              expected.push_back(o);
-            }
-          }
-          if (table.distance(src, dst) != best) ++violations;
-        } else if (table.distance(src, dst) != kNoPath) {
-          ++violations;
-        }
-      }
-      if (mismatch(table.firstChannels(src, dst))) ++violations;
-    }
-    for (ChannelId c = 0; c < channels; ++c) {
-      expected.clear();
-      const std::uint16_t steps = table.channelSteps(dst, c);
-      const NodeId via = topo.channelDst(c);
-      if (aliveChannel(alive, c) && steps != kNoPath && steps > 1 &&
-          via != dst) {
-        for (const ChannelId o : topo.outputChannels(via)) {
-          if (aliveChannel(alive, o) && perms.allowed(via, c, o) &&
-              table.channelSteps(dst, o) + 1 == steps) {
-            expected.push_back(o);
-          }
-        }
-      }
-      if (mismatch(table.nextChannels(c, dst))) ++violations;
-    }
+/// True when `got` holds exactly the members of `from` that `keep` admits,
+/// in `from`'s order.
+template <class Keep>
+bool rowMatches(std::span<const ChannelId> got, std::span<const ChannelId> from,
+                Keep keep) {
+  std::size_t k = 0;
+  for (const ChannelId c : from) {
+    if (!keep(c)) continue;
+    if (k == got.size() || got[k] != c) return false;
+    ++k;
   }
-  return violations;
+  return k == got.size();
 }
 
-/// Forward BFS over the channel graph from every source; the table builds
-/// its distances by reverse BFS per destination, so agreement here is an
-/// independent derivation, not a replay.
-std::uint64_t auditDistances(const routing::RoutingTable& table,
-                             const TurnPermissions& perms,
-                             std::span<const std::uint8_t> alive) {
-  const Topology& topo = perms.topology();
+/// Layer 3, one destination at a time, counted into `report`.  d's steps
+/// row is copied once through the accessor, so the table's own mask
+/// applies.  With `checkSteps` the row is checked against the fixed point
+/// of the rule graph; every row keyed by d is then checked against it.
+/// Channels are visited in id order, so the table's rows and both successor
+/// CSRs stream through the cache.
+void auditTable(const routing::RoutingTable& table, const Topology& topo,
+                const PeelGraph& rule, const PeelGraph& anyTurn,
+                bool checkSteps, OracleReport& report) {
   const NodeId n = topo.nodeCount();
   const std::uint32_t channels = topo.channelCount();
-  std::uint64_t mismatches = 0;
-  std::vector<std::uint16_t> depth(channels);
-  std::vector<std::uint16_t> nodeDist(n);
-  std::vector<ChannelId> queue;
-  for (NodeId src = 0; src < n; ++src) {
-    std::fill(depth.begin(), depth.end(), kNoPath);
-    std::fill(nodeDist.begin(), nodeDist.end(), kNoPath);
-    nodeDist[src] = 0;
-    queue.clear();
-    for (const ChannelId o : topo.outputChannels(src)) {
-      if (!aliveChannel(alive, o)) continue;
-      depth[o] = 1;
-      queue.push_back(o);
-    }
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const ChannelId c = queue[head];
-      const NodeId via = topo.channelDst(c);
-      nodeDist[via] = std::min(nodeDist[via], depth[c]);
-      for (const ChannelId o : topo.outputChannels(via)) {
-        if (depth[o] != kNoPath) continue;
-        if (!aliveChannel(alive, o)) continue;
-        if (!perms.allowed(via, c, o)) continue;
-        depth[o] = static_cast<std::uint16_t>(depth[c] + 1);
-        queue.push_back(o);
+  const auto successors = [](const PeelGraph& g, ChannelId c) {
+    return std::span<const ChannelId>(g.targets.data() + g.offsets[c],
+                                      g.offsets[c + 1] - g.offsets[c]);
+  };
+  std::vector<std::uint16_t> row(channels);
+  for (NodeId dst = 0; dst < n; ++dst) {
+    for (ChannelId c = 0; c < channels; ++c) row[c] = table.channelSteps(dst, c);
+
+    // Injection has no in-channel constraint: every alive output that
+    // starts a minimal legal path is a first hop, and distance() is its
+    // steps value.
+    for (NodeId src = 0; src < n; ++src) {
+      const std::span<const ChannelId> outputs = topo.outputChannels(src);
+      std::uint16_t first = kNoPath;
+      if (src != dst) {
+        for (const ChannelId o : outputs) {
+          if (rule.member[o]) first = std::min(first, row[o]);
+        }
+        if (table.distance(src, dst) != first) ++report.candidateViolations;
+      }
+      if (!rowMatches(table.firstChannels(src, dst), outputs, [&](ChannelId o) {
+            return first != kNoPath && rule.member[o] && row[o] == first;
+          })) {
+        ++report.candidateViolations;
       }
     }
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (table.distance(src, dst) != nodeDist[dst]) ++mismatches;
+
+    for (ChannelId c = 0; c < channels; ++c) {
+      const std::span<const ChannelId> legal = successors(rule, c);
+      const std::uint16_t steps = row[c];
+      const bool intoDst = topo.channelDst(c) == dst;
+      if (checkSteps) {
+        // In 32 bits, so that 1 + min never wraps into kNoPath.
+        std::uint32_t want = kUnseen;  // dead, or no finite successor
+        if (rule.member[c]) {
+          if (intoDst) {
+            want = 1;
+          } else {
+            std::uint16_t best = kNoPath;
+            for (const ChannelId s : legal) best = std::min(best, row[s]);
+            if (best != kNoPath) want = best + 1u;
+          }
+        }
+        if ((steps == kNoPath ? kUnseen : steps) != want) {
+          ++report.distanceMismatches;
+        }
+      }
+      // Continuations one step closer: the legal row keeps the rule's
+      // successors, the any-turn row every alive output but the U-turn.
+      const bool continues =
+          rule.member[c] && steps != kNoPath && steps > 1 && !intoDst;
+      const auto closer = [&](ChannelId s) {
+        return continues && row[s] + 1 == steps;
+      };
+      if (!rowMatches(table.nextChannels(c, dst), legal, closer)) {
+        ++report.candidateViolations;
+      }
+      if (!rowMatches(table.nextChannelsAnyTurn(c, dst),
+                      successors(anyTurn, c), closer)) {
+        ++report.candidateViolations;
+      }
     }
   }
-  return mismatches;
 }
 
 }  // namespace
@@ -283,7 +277,8 @@ OracleReport runOracle(const OracleInput& input) {
   const std::uint32_t channels = perms.topology().channelCount();
 
   // Layer 1: rule check.
-  const PeelGraph rule = buildRuleGraph(perms, input.channelAlive);
+  const PeelGraph rule =
+      buildTurnGraph(perms, input.channelAlive, /*anyTurn=*/false);
   report.ruleEdges = rule.targets.size();
   for (ChannelId c = 0; c < channels; ++c) report.aliveChannels += rule.member[c];
   std::vector<std::uint8_t> core;
@@ -310,12 +305,10 @@ OracleReport runOracle(const OracleInput& input) {
 
   // Layer 3: table cross-check.
   if (input.table != nullptr) {
-    report.candidateViolations =
-        auditCandidates(*input.table, perms, input.channelAlive);
-    if (input.deepDistanceCheck) {
-      report.distanceMismatches =
-          auditDistances(*input.table, perms, input.channelAlive);
-    }
+    const PeelGraph anyTurn =
+        buildTurnGraph(perms, input.channelAlive, /*anyTurn=*/true);
+    auditTable(*input.table, perms.topology(), rule, anyTurn,
+               input.deepDistanceCheck, report);
     report.tableConsistent =
         report.candidateViolations == 0 && report.distanceMismatches == 0;
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/downup_routing.hpp"
 #include "routing/updown.hpp"
 #include "topology/generate.hpp"
 #include "topology/properties.hpp"
@@ -68,6 +69,23 @@ TEST(VerifyRouting, StretchReflectsDetours) {
   EXPECT_GE(report.averageStretch, 1.0);
   EXPECT_LE(report.averageStretch, report.maxStretch);
   EXPECT_GE(report.averagePathLength, topo::averageDistance(topo));
+}
+
+// The report of a seeded 64-switch DOWN/UP fabric, recorded when
+// verifyRouting still looped sources outside and destinations inside.
+// Every field is bit-identical under the destination-outer loop except
+// averageStretch, whose summation order changed.
+TEST(VerifyRouting, ReportIsPinnedForSeededDownUpFabric) {
+  util::Rng rng(2004);
+  const Topology topo = topo::randomIrregular(64, {.maxPorts = 4}, rng);
+  const Routing routing = core::buildDownUp(topo, m1Tree(topo));
+  const VerifyReport report = verifyRouting(routing);
+  EXPECT_TRUE(report.deadlockFree);
+  EXPECT_TRUE(report.connected);
+  EXPECT_EQ(report.unreachablePairs, 0u);
+  EXPECT_EQ(report.averagePathLength, 0x1.f34d34d34d34dp+1);
+  EXPECT_EQ(report.maxStretch, 0x1p+2);
+  EXPECT_NEAR(report.averageStretch, 0x1.3d5a7afd05254p+0, 1e-12);
 }
 
 TEST(VerifyReportDescribe, MentionsTheImportantBits) {

@@ -11,6 +11,7 @@
 
 #include "core/downup_routing.hpp"
 #include "fault/schedule.hpp"
+#include "routing/updown.hpp"
 #include "sim/network.hpp"
 #include "topology/generate.hpp"
 #include "tree/coordinated_tree.hpp"
@@ -122,6 +123,29 @@ TEST(OracleGateTest, DumpBudgetBoundsFilesNotViolations) {
   }
   EXPECT_EQ(gate.violations(), 9u);
   EXPECT_EQ(gate.casesDumped(), 8u);
+}
+
+TEST(OracleGateTest, TableStepsAreCheckedAbove8192Channels) {
+  // A table built with link 0 masked, audited as all-alive: its rows agree
+  // with its own steps, so only the steps check can tell.  The gate runs
+  // that check on every audit with a table, whatever the fabric's size.
+  const topo::Topology topo = topo::complete(92);
+  ASSERT_GT(topo.channelCount(), 8192u);
+  const routing::Routing routing =
+      routing::buildUpDown(topo, makeTree(topo, 92));
+  std::vector<std::uint64_t> alive((topo.channelCount() + 63) / 64,
+                                   ~std::uint64_t{0});
+  alive[0] &= ~std::uint64_t{3};  // both channels of link 0
+  const routing::RoutingTable masked =
+      routing::RoutingTable::build(routing.permissions(), nullptr, alive);
+
+  OracleGate gate;
+  OracleInput input;
+  input.perms = &routing.permissions();
+  input.table = &masked;
+  EXPECT_FALSE(gate.audit(input, {.point = "baseline"}));
+  EXPECT_GT(gate.lastViolation().distanceMismatches, 0u);
+  EXPECT_EQ(gate.lastViolation().candidateViolations, 0u);
 }
 
 TEST(OracleGateTest, FaultedSimulationIsBitForBitInertUnderTheGate) {

@@ -1,15 +1,20 @@
 // The independent oracle against the constructive pipeline's own checker:
 // over a fuzzed family of irregular topologies the peeling verdict must
-// agree with verifyRouting()'s DFS verdict for both DOWN/UP and L-turn,
-// a genuinely cyclic rule must be rejected with a valid witness cycle, and
-// the state layer must catch a wedged occupancy that verifyRouting — which
-// has no notion of network state — cannot see at all.
+// agree with verifyRouting()'s DFS verdict for every routing algorithm,
+// a genuinely cyclic rule must be rejected with a valid witness cycle, the
+// state layer must catch a wedged occupancy that verifyRouting — which
+// has no notion of network state — cannot see at all, and the table layer
+// must reject a table that does not match its rule or its alive mask while
+// accepting every table the fault paths publish.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/downup_routing.hpp"
+#include "fault/reconfigure.hpp"
 #include "routing/verify.hpp"
 #include "topology/generate.hpp"
 #include "tree/coordinated_tree.hpp"
@@ -58,10 +63,10 @@ void expectValidRuleCycle(const topo::Topology& topo,
 }
 
 TEST(OracleCrossValidation, AgreesWithVerifyRoutingOverFuzzedTopologies) {
-  // 50 seeded irregular SANs x {DOWN/UP, L-turn}: the two independent
+  // 50 seeded irregular SANs x every algorithm: the two independent
   // formulations (peeling to the greatest fixed point vs three-color DFS)
-  // must never disagree, and the deep table cross-check (forward-BFS
-  // distance re-derivation) must match the table's reverse-BFS distances.
+  // must never disagree, and every table must pass the table layer: steps
+  // rows at the rule's fixed point, every candidate row derived from them.
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     util::Rng rng(seed);
     const auto switches = static_cast<topo::NodeId>(8 + seed % 17);
@@ -71,8 +76,7 @@ TEST(OracleCrossValidation, AgreesWithVerifyRoutingOverFuzzedTopologies) {
     const tree::CoordinatedTree ct = tree::CoordinatedTree::build(
         topo, tree::TreePolicy::kM1SmallestFirst, treeRng);
 
-    for (const core::Algorithm algorithm :
-         {core::Algorithm::kDownUp, core::Algorithm::kLTurn}) {
+    for (const core::Algorithm algorithm : core::kAllAlgorithms) {
       const routing::Routing routing =
           core::buildRouting(algorithm, topo, ct);
       const routing::VerifyReport reference = routing::verifyRouting(routing);
@@ -98,6 +102,153 @@ TEST(OracleCrossValidation, AgreesWithVerifyRoutingOverFuzzedTopologies) {
       EXPECT_TRUE(report.ruleCycle.empty());
     }
   }
+}
+
+/// A seeded 24-switch SAN with its DOWN/UP routing (the reconfiguration
+/// tests' fabric).  Members are built in declaration order, so the
+/// routing's pointers into `topo` stay valid; a Fabric is never moved.
+struct Fabric {
+  Fabric()
+      : topo(makeTopo()),
+        ct(makeTree(topo)),
+        routing(core::buildDownUp(topo, ct)) {}
+
+  static topo::Topology makeTopo() {
+    util::Rng rng(2024);
+    return topo::randomIrregular(24, {.maxPorts = 4}, rng);
+  }
+  static tree::CoordinatedTree makeTree(const topo::Topology& topo) {
+    util::Rng rng(0);
+    return tree::CoordinatedTree::build(
+        topo, tree::TreePolicy::kM1SmallestFirst, rng);
+  }
+
+  topo::Topology topo;
+  tree::CoordinatedTree ct;
+  routing::Routing routing;
+};
+
+/// The alive mask FabricManager audits a publish with: a channel is alive
+/// when its link and both of its switches are.
+std::vector<std::uint8_t> managerChannelMask(
+    const topo::Topology& topo, const std::vector<std::uint8_t>& linkAlive,
+    const std::vector<std::uint8_t>& nodeAlive) {
+  std::vector<std::uint8_t> alive(topo.channelCount(), 0);
+  for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+    const auto [a, b] = topo.linkEnds(l);
+    alive[2 * l] = alive[2 * l + 1] =
+        linkAlive[l] && nodeAlive[a] && nodeAlive[b];
+  }
+  return alive;
+}
+
+/// One alive bit per channel, with both channels of `dead` cleared (the
+/// mask RoutingTable::build and rebuildDead take).
+std::vector<std::uint64_t> aliveBitsWithout(const topo::Topology& topo,
+                                            topo::LinkId dead) {
+  std::vector<std::uint64_t> bits((topo.channelCount() + 63) / 64,
+                                  ~std::uint64_t{0});
+  for (const topo::ChannelId c : {2 * dead, 2 * dead + 1}) {
+    bits[c >> 6] &= ~(std::uint64_t{1} << (c & 63));
+  }
+  return bits;
+}
+
+OracleReport auditTable(const routing::TurnPermissions& perms,
+                        const routing::RoutingTable& table,
+                        std::span<const std::uint8_t> alive = {}) {
+  OracleInput input;
+  input.perms = &perms;
+  input.table = &table;
+  input.channelAlive = alive;
+  input.deepDistanceCheck = true;
+  return runOracle(input);
+}
+
+TEST(OracleTable, TableBuiltForAnotherRuleIsRejected) {
+  const Fabric f;
+  const routing::Routing lturn =
+      core::buildRouting(core::Algorithm::kLTurn, f.topo, f.ct);
+  const OracleReport report =
+      auditTable(lturn.permissions(), f.routing.table());
+  EXPECT_TRUE(report.ruleDeadlockFree);
+  EXPECT_FALSE(report.tableConsistent) << report.describe();
+  EXPECT_FALSE(report.ok());
+}
+
+TEST(OracleTable, AllAliveTableAuditedWithADeadLinkIsRejected) {
+  const Fabric f;
+  std::vector<std::uint8_t> alive(f.topo.channelCount(), 1);
+  alive[0] = alive[1] = 0;  // link 0
+  const OracleReport report =
+      auditTable(f.routing.permissions(), f.routing.table(), alive);
+  EXPECT_FALSE(report.tableConsistent) << report.describe();
+  EXPECT_GT(report.distanceMismatches, 0u);
+}
+
+TEST(OracleTable, MaskedTableAuditedAsAllAliveIsRejectedByTheStepsCheck) {
+  // Every row of a table built with link 0 masked agrees with its own
+  // steps, so only the fixed-point check sees that link 0's channels and
+  // the paths through them are missing.
+  const Fabric f;
+  const routing::RoutingTable masked = routing::RoutingTable::build(
+      f.routing.permissions(), nullptr, aliveBitsWithout(f.topo, 0));
+  const OracleReport report = auditTable(f.routing.permissions(), masked);
+  EXPECT_FALSE(report.tableConsistent) << report.describe();
+  EXPECT_EQ(report.candidateViolations, 0u);
+  EXPECT_GT(report.distanceMismatches, 0u);
+}
+
+TEST(OracleTable, IncrementalTablePassesUnderTheManagersMask) {
+  const Fabric f;
+  for (topo::LinkId dead = 0; dead < f.topo.linkCount(); ++dead) {
+    std::vector<std::uint8_t> linkAlive(f.topo.linkCount(), 1);
+    const std::vector<std::uint8_t> nodeAlive(f.topo.nodeCount(), 1);
+    linkAlive[dead] = 0;
+    const std::optional<routing::RoutingTable> incremental =
+        routing::RoutingTable::rebuildDead(f.routing.table(), nullptr,
+                                           aliveBitsWithout(f.topo, dead));
+    ASSERT_TRUE(incremental.has_value());
+    const OracleReport report =
+        auditTable(f.routing.permissions(), *incremental,
+                   managerChannelMask(f.topo, linkAlive, nodeAlive));
+    EXPECT_TRUE(report.ok()) << "link " << dead << ": " << report.describe();
+  }
+}
+
+TEST(OracleTable, RebuildForADeadSwitchPassesUnderTheManagersMask) {
+  const Fabric f;
+  const fault::Reconfigurator reconf(f.topo);
+  const std::vector<std::uint8_t> linkAlive(f.topo.linkCount(), 1);
+  std::vector<std::uint8_t> nodeAlive(f.topo.nodeCount(), 1);
+  nodeAlive[11] = 0;
+  const fault::ReconfigOutcome out = reconf.rebuild(linkAlive, nodeAlive);
+  ASSERT_TRUE(out.ok());
+  const OracleReport report =
+      auditTable(*out.perms, *out.table,
+                 managerChannelMask(f.topo, linkAlive, nodeAlive));
+  EXPECT_TRUE(report.ok()) << report.describe();
+}
+
+TEST(OracleTable, RebuildForAPartitionPassesUnderTheManagersMask) {
+  // Switch 11 and its neighbours cut off from the other 19 switches.
+  const Fabric f;
+  const fault::Reconfigurator reconf(f.topo);
+  std::vector<bool> side(f.topo.nodeCount(), false);
+  side[11] = true;
+  for (const topo::NodeId w : f.topo.neighbors(11)) side[w] = true;
+  std::vector<std::uint8_t> linkAlive(f.topo.linkCount(), 1);
+  for (topo::LinkId l = 0; l < f.topo.linkCount(); ++l) {
+    const auto [a, b] = f.topo.linkEnds(l);
+    if (side[a] != side[b]) linkAlive[l] = 0;
+  }
+  const std::vector<std::uint8_t> nodeAlive(f.topo.nodeCount(), 1);
+  const fault::ReconfigOutcome out = reconf.rebuild(linkAlive, nodeAlive);
+  ASSERT_EQ(out.components, 2u);
+  const OracleReport report =
+      auditTable(*out.perms, *out.table,
+                 managerChannelMask(f.topo, linkAlive, nodeAlive));
+  EXPECT_TRUE(report.ok()) << report.describe();
 }
 
 TEST(OracleNegative, UnrestrictedRingIsRejectedWithValidWitness) {
