@@ -30,9 +30,17 @@ struct DownUpOptions {
   util::SpanRecorder* spans = nullptr;
 };
 
-/// Builds DOWN/UP routing over a coordinated tree: Definition-5 channel
-/// directions, the 18-turn prohibited set, optionally the per-node release
-/// pass, and the turn-restricted shortest-path table.
+/// The DOWN/UP turn rule over a coordinated tree: Definition-5 channel
+/// directions and the 18-turn prohibited set, then the repair and release
+/// passes as `options` asks (`pool` is unused).  buildDownUp adds the table
+/// to it; fault::Reconfigurator merges one rule per component and builds a
+/// single host table.
+routing::TurnPermissions buildDownUpRule(const routing::Topology& topo,
+                                         const tree::CoordinatedTree& ct,
+                                         const DownUpOptions& options = {});
+
+/// Builds DOWN/UP routing over a coordinated tree: buildDownUpRule plus the
+/// turn-restricted shortest-path table.
 routing::Routing buildDownUp(const routing::Topology& topo,
                              const tree::CoordinatedTree& ct,
                              const DownUpOptions& options = {});

@@ -58,6 +58,18 @@ bool FabricManager::foldBatch(std::span<const FaultTransition> batch) {
   return desiredLink_ != appliedLink_ || desiredNode_ != appliedNode_;
 }
 
+bool FabricManager::drainBatch() {
+  util::ScopedSpan dequeueSpan(options_.spans, "event_dequeue");
+  batch_.clear();
+  const std::size_t drained = queue_.drain(batch_);
+  const bool changed = foldBatch(batch_);
+  dequeueSpan.arg("drained", static_cast<double>(drained));
+  dequeueSpan.close();
+  transitionsAbsorbed_.fetch_add(drained, std::memory_order_relaxed);
+  atomicMax(largestBatch_, drained);
+  return changed;
+}
+
 PublishResult FabricManager::rebuildAndPublish(
     std::span<const std::uint8_t> linkAlive,
     std::span<const std::uint8_t> nodeAlive, bool incremental,
@@ -160,18 +172,8 @@ PublishResult FabricManager::publishFromMasks(
   // controller's view; the passed masks stay the authoritative input, and
   // driven mode always publishes — the engine decides when a swap happens.
   util::ScopedSpan rebuildSpan(options_.spans, "rebuild");
-  util::ScopedSpan dequeueSpan(options_.spans, "event_dequeue");
-  batch_.clear();
-  const std::size_t drained = queue_.drain(batch_);
-  foldBatch(batch_);
-  dequeueSpan.arg("drained", static_cast<double>(drained));
-  dequeueSpan.close();
-  transitionsAbsorbed_.fetch_add(drained, std::memory_order_relaxed);
-  std::uint64_t prevMax = largestBatch_.load(std::memory_order_relaxed);
-  while (drained > prevMax &&
-         !largestBatch_.compare_exchange_weak(prevMax, drained,
-                                              std::memory_order_relaxed)) {
-  }
+  drainBatch();
+  const std::size_t drained = batch_.size();
 
   PublishResult result =
       rebuildAndPublish(linkAlive, nodeAlive, incremental, drained);
@@ -238,23 +240,12 @@ void FabricManager::serviceLoop() {
         }
       }
     }
-    util::ScopedSpan dequeueSpan(spans, "event_dequeue");
-    batch_.clear();
-    const std::size_t drained = queue_.drain(batch_);
-    const bool changed = drained > 0 && foldBatch(batch_);
-    dequeueSpan.arg("drained", static_cast<double>(drained));
-    dequeueSpan.close();
+    const bool changed = drainBatch();
+    const std::size_t drained = batch_.size();
     if (drained > 0) {
-      transitionsAbsorbed_.fetch_add(drained, std::memory_order_relaxed);
-      std::uint64_t prevMax = largestBatch_.load(std::memory_order_relaxed);
-      while (drained > prevMax &&
-             !largestBatch_.compare_exchange_weak(prevMax, drained,
-                                                  std::memory_order_relaxed)) {
-      }
       if (changed) {
-        PublishResult result = rebuildAndPublish(
-            desiredLink_, desiredNode_, options_.incremental, drained);
-        result.transitionsAbsorbed = drained;
+        rebuildAndPublish(desiredLink_, desiredNode_, options_.incremental,
+                          drained);
       } else {
         // The burst cancelled out (flap): desired == applied, nothing to do.
         rebuildsSkipped_.fetch_add(1, std::memory_order_relaxed);

@@ -209,6 +209,10 @@ class FabricManager final : public fault::FaultEventSink {
   /// Folds `batch` into desiredLink_/desiredNode_; true when the desired
   /// masks now differ from the applied ones.
   bool foldBatch(std::span<const FaultTransition> batch);
+  /// Drains the event queue into batch_ (an `event_dequeue` span), folds it
+  /// and counts it in transitionsAbsorbed_ / largestBatch_; returns
+  /// foldBatch's verdict.
+  bool drainBatch();
   /// Rebuilds from desiredLink_/desiredNode_ and publishes (service mode).
   /// `batchSize` is the transition count folded into this decision
   /// (flight-recorder annotation only).

@@ -25,14 +25,14 @@ namespace {
 
 constexpr std::uint32_t kNoComp = static_cast<std::uint32_t>(-1);
 
-/// One alive component routed on its compacted sub-topology.  The sub
-/// topology and routing sit behind unique_ptrs because the routing table and
-/// turn permissions hold raw pointers into them.
+/// One alive component's DOWN/UP rule, built on its compacted
+/// sub-topology.  The sub-topology sits behind a unique_ptr because the rule
+/// holds a raw pointer into it.
 struct Component {
-  std::vector<NodeId> nodeToHost;       // ascending (remap contract)
+  std::vector<NodeId> nodeToHost;
   std::vector<ChannelId> channelToHost;
   std::unique_ptr<Topology> sub;
-  std::unique_ptr<routing::Routing> routing;
+  std::optional<TurnPermissions> rule;
 };
 
 /// A dead endpoint kills the link regardless of its own state.
@@ -94,6 +94,19 @@ ComponentLabels labelComponents(const Topology& topo,
   return labels;
 }
 
+/// Fills `out`'s pair counts and mean path from its table's reachability
+/// summary.  Dead switches reach nothing and are reached by nothing, so
+/// every reachable pair is an alive pair; the rule serves its components
+/// exactly when the reachable pairs are the same-component pairs.
+void summarizeReachability(const ComponentLabels& labels, ReconfigOutcome& out) {
+  const std::uint64_t reachable = out.table->reachability().pairs;
+  out.unreachablePairs =
+      static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
+      reachable;
+  out.componentsConnected = reachable == labels.sameComponentPairs;
+  out.averagePathLength = out.table->averagePathLength();
+}
+
 }  // namespace
 
 ReconfigOutcome Reconfigurator::rebuild(
@@ -105,7 +118,6 @@ ReconfigOutcome Reconfigurator::rebuild(
 
   ReconfigOutcome out;
   out.deadlockFree = true;
-  out.componentsConnected = true;
 
   util::ScopedSpan partitionSpan(spans_, "partition");
   const std::vector<std::uint8_t> effLink =
@@ -115,9 +127,9 @@ ReconfigOutcome Reconfigurator::rebuild(
   out.aliveNodes = labels.aliveNodes;
   out.rebuiltDestinations = labels.aliveNodes;
 
-  // Collect members per component in ascending host order (the remap
-  // contract: sub node ids must ascend with host ids so that adjacency —
-  // and therefore candidate-row — order survives the mapping).
+  // Members per component in ascending host order, so a component's M1
+  // tree (smallest id first) is the one a direct build on the degraded
+  // graph would grow.
   std::vector<std::vector<NodeId>> members(out.components);
   for (NodeId v = 0; v < n; ++v) {
     if (labels.comp[v] != kNoComp) members[labels.comp[v]].push_back(v);
@@ -126,13 +138,11 @@ ReconfigOutcome Reconfigurator::rebuild(
   partitionSpan.arg("aliveNodes", labels.aliveNodes);
   partitionSpan.close();
 
-  // Route every component with at least two switches independently: its own
+  // Give every component with at least two switches its own rule: its
   // compacted topology, coordinated tree (M1 is deterministic; the RNG is
   // never consulted) and DOWN/UP rule with the repair and release passes.
   std::vector<Component> parts;
   std::vector<NodeId> hostToSub(n, topo::kInvalidNode);
-  double pathLengthSum = 0.0;
-  std::uint64_t reachablePairs = 0;
   for (const auto& m : members) {
     if (m.size() < 2) continue;
     Component part;
@@ -157,70 +167,54 @@ ReconfigOutcome Reconfigurator::rebuild(
     const auto ct = tree::CoordinatedTree::build(
         *part.sub, tree::TreePolicy::kM1SmallestFirst, rng);
     treeSpan.close();
-    part.routing = std::make_unique<routing::Routing>(
-        core::buildDownUp(*part.sub, ct, {.pool = pool_, .spans = spans_}));
+    part.rule = core::buildDownUpRule(*part.sub, ct, {.spans = spans_});
 
-    // The incremental path's two checks: an acyclic channel-dependency
-    // graph, and the table's reachability summary for connectivity.
     util::ScopedSpan verifySpan(spans_, "verify");
-    const RoutingTable& table = part.routing->table();
-    out.deadlockFree =
-        out.deadlockFree &&
-        routing::checkChannelDependencies(part.routing->permissions()).acyclic;
-    const std::uint64_t pairs = table.reachability().pairs;
-    const std::uint64_t unreachable =
-        static_cast<std::uint64_t>(m.size()) * (m.size() - 1) - pairs;
-    out.componentsConnected = out.componentsConnected && unreachable == 0;
-    out.unreachablePairs += unreachable;
-    pathLengthSum += table.averagePathLength() * static_cast<double>(pairs);
-    reachablePairs += pairs;
+    out.deadlockFree = out.deadlockFree &&
+                       routing::checkChannelDependencies(*part.rule).acyclic;
     verifySpan.close();
     parts.push_back(std::move(part));
   }
-  out.averagePathLength =
-      reachablePairs == 0 ? 0.0
-                          : pathLengthSum / static_cast<double>(reachablePairs);
-  // Ordered alive pairs in different components are unreachable by design.
-  out.unreachablePairs += static_cast<std::uint64_t>(out.aliveNodes) *
-                              (out.aliveNodes - 1) -
-                          labels.sameComponentPairs;
 
-  // Merge the per-component rules into host numbering.  Dead channels keep
-  // an arbitrary direction: their steps stay kNoPath and their candidate
-  // rows stay empty, so the table never offers them.
+  // Merge the per-component rules into host numbering.  Channel-dependency
+  // graphs of distinct components are disjoint, so the merged rule is
+  // acyclic iff every component's is.  Dead channels keep an arbitrary
+  // direction: the table below masks them out.
   util::ScopedSpan mergeSpan(spans_, "merge");
   mergeSpan.arg("parts", parts.size());
   DirectionMap hostDirs(topo.channelCount(), Dir::kRdTree);
   for (const Component& part : parts) {
     for (ChannelId c = 0; c < part.channelToHost.size(); ++c) {
-      hostDirs[part.channelToHost[c]] = part.routing->permissions().dir(c);
+      hostDirs[part.channelToHost[c]] = part.rule->dir(c);
     }
   }
   out.perms = std::make_unique<TurnPermissions>(topo, std::move(hostDirs),
                                                 core::downUpTurnSet());
-  std::vector<RoutingTable::ComponentMapping> mappings;
-  mappings.reserve(parts.size());
   for (const Component& part : parts) {
-    const TurnPermissions& sub = part.routing->permissions();
     for (NodeId v = 0; v < part.nodeToHost.size(); ++v) {
       for (std::size_t i = 0; i < kDirCount; ++i) {
         for (std::size_t j = 0; j < kDirCount; ++j) {
           const Dir d1 = static_cast<Dir>(i);
           const Dir d2 = static_cast<Dir>(j);
-          if (sub.isReleasedAt(v, d1, d2)) {
+          if (part.rule->isReleasedAt(v, d1, d2)) {
             out.perms->releaseAt(part.nodeToHost[v], d1, d2);
           }
-          if (sub.isBlockedAt(v, d1, d2)) {
+          if (part.rule->isBlockedAt(v, d1, d2)) {
             out.perms->blockAt(part.nodeToHost[v], d1, d2);
           }
         }
       }
     }
-    mappings.push_back({&part.routing->table(), part.nodeToHost,
-                        part.channelToHost});
   }
-  out.table = std::make_unique<RoutingTable>(
-      RoutingTable::remapComponents(*out.perms, mappings));
+  mergeSpan.close();
+
+  // One table over the host topology under the alive-channel mask: pairs in
+  // different components have no legal path, since no alive channel joins
+  // them.
+  out.table = std::make_unique<RoutingTable>(RoutingTable::build(
+      *out.perms, pool_, channelAliveWords(linkAlive, nodeAlive), spans_));
+  util::ScopedSpan verifySpan(spans_, "verify");
+  summarizeReachability(labels, out);
   return out;
 }
 
@@ -292,24 +286,15 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   // check below re-verifies the (superset) inherited graph.
   out.deadlockFree = routing::checkChannelDependencies(*out.perms).acyclic;
 
-  // Unreachability under the inherited rule.  Cross-component pairs are
-  // unreachable by design; a within-component unreachable pair means the
-  // old tree cannot serve the degraded graph (e.g. the failure cut the
-  // region the turn rule funnels traffic through) — re-rooting may fix
-  // that, so fall back to the full rebuild.  Dead switches reach nothing
-  // and are reached by nothing, so every reachable pair is an alive pair.
-  out.unreachablePairs =
-      static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
-      out.table->reachability().pairs;
-  const std::uint64_t crossComponentPairs =
-      static_cast<std::uint64_t>(out.aliveNodes) * (out.aliveNodes - 1) -
-      labels.sameComponentPairs;
-  out.componentsConnected = out.unreachablePairs == crossComponentPairs;
+  // Cross-component pairs are unreachable by design; a within-component
+  // unreachable pair means the old tree cannot serve the degraded graph
+  // (e.g. the failure cut the region the turn rule funnels traffic
+  // through) — re-rooting may fix that, so fall back to the full rebuild.
+  summarizeReachability(labels, out);
   verifySpan.close();
   if (!out.componentsConnected || !out.deadlockFree) {
     return rebuild(linkAlive, nodeAlive);
   }
-  out.averagePathLength = out.table->averagePathLength();
   return out;
 }
 

@@ -6,19 +6,21 @@
 //
 // The degraded graph may be disconnected (node failures isolate switches,
 // link failures can split the network).  Every alive connected component
-// with at least two switches is routed independently — its own compacted
+// with at least two switches gets its own rule — its own compacted
 // sub-topology, coordinated tree and DOWN/UP rule — and the per-component
-// tables are merged with RoutingTable::remapComponents.  Channel-dependency
-// graphs of distinct components are disjoint, so the merged rule is
-// deadlock-free iff each component's rule is; pairs in different components
-// stay unreachable and are reported for the engine to drop with attribution.
+// rules are merged into host numbering, where one RoutingTable::build under
+// the alive-channel mask routes them all.  Channel-dependency graphs of
+// distinct components are disjoint, so the merged rule is deadlock-free iff
+// each component's rule is; pairs in different components stay unreachable
+// and are reported for the engine to drop with attribution.
 //
 // Both rebuild paths verify an outcome with the same two checks: the
-// turn rule's channel-dependency graph is acyclic (checkChannelDependencies)
-// and the table's reachability summary accounts for every within-component
-// pair.  The independent oracle (verify/gate.hpp) audits what goes live,
-// once per epoch, in FabricManager's publish; a Reconfigurator outcome that
-// is never published is not audited.
+// turn rule's channel-dependency graph is acyclic (checkChannelDependencies,
+// per component on the full path) and the host table's reachability summary
+// accounts for every within-component pair.  The independent oracle
+// (verify/gate.hpp) audits what goes live, once per epoch, in
+// FabricManager's publish; a Reconfigurator outcome that is never published
+// is not audited.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +72,12 @@ class Reconfigurator {
 
   const topo::Topology& topology() const noexcept { return *topo_; }
 
-  /// Attaches a span recorder: every rebuild emits partition / subtopo /
-  /// tree / classify / repair / release / table_build / verify / merge
-  /// stage spans.  nullptr (the default) detaches; the pointer must stay
-  /// valid across rebuild calls and is shared with them unsynchronised, so
-  /// set it before rebuilds start.
+  /// Attaches a span recorder: a full rebuild emits partition, then
+  /// subtopo / tree / classify / repair / release / verify per component,
+  /// then merge (the rules), table_build and verify stage spans.  nullptr
+  /// (the default) detaches; the pointer must stay valid across rebuild
+  /// calls and is shared with them unsynchronised, so set it before
+  /// rebuilds start.
   void setSpans(util::SpanRecorder* spans) noexcept { spans_ = spans; }
 
   /// Rebuilds routing over the subgraph restricted to nodes with

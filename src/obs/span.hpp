@@ -12,7 +12,13 @@
 //   ├─ partition / subtopo      alive-component labelling + compaction
 //   ├─ tree                     coordinated-tree construction per component
 //   ├─ classify / repair / release   turn-rule stages per component
-//   ├─ table_build              RoutingTable::build or rebuildDead
+//   ├─ verify                   deadlock-freedom check (per component on a
+//   │                           full rebuild), then connectivity from the
+//   │                           table's reachability summary
+//   ├─ merge                    full rebuild: component rules into host
+//   │                           numbering
+//   ├─ table_build              RoutingTable::build (a full rebuild's one
+//   │  │                        host table, after merge) or rebuildDead
 //   │  ├─ dirty_delta           rebuildDead only: newly dead channels from
 //   │  │                        the table's recorded mask (a revival ends
 //   │  │                        the incremental path here) + dirty-set scan
@@ -20,8 +26,6 @@
 //   │  │                        then the destination's candidate rows
 //   │  └─ candidate_fill        installing the blocks; rebuildDead shares
 //   │                           every clean block with the previous table
-//   ├─ verify                   deadlock-freedom + connectivity check
-//   ├─ merge                    per-component remap into host numbering
 //   └─ publish                  epoch swap + reclaim sweep
 //
 // Parallel stages carry `threads` / `parallel` args so a trace shows which

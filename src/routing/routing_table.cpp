@@ -379,80 +379,6 @@ std::uint64_t RoutingTable::fingerprint() const noexcept {
   return hash;
 }
 
-RoutingTable RoutingTable::remapComponents(
-    const TurnPermissions& hostPerms, std::span<const ComponentMapping> parts) {
-  const Topology& topo = hostPerms.topology();
-  const NodeId n = topo.nodeCount();
-  const std::uint32_t channels = topo.channelCount();
-  std::vector<std::uint64_t> mapped((channels + 63) / 64, 0);
-  for (const ComponentMapping& part : parts) {
-    for (const ChannelId c : part.channelToHost) {
-      mapped[c >> 6] |= std::uint64_t{1} << (c & 63);
-    }
-  }
-  RoutingTable host(hostPerms, mapped);
-
-  // Destinations outside every component (dead or isolated switches) are
-  // reached from nowhere and have no rows: they all share one empty block.
-  Scratch scratch;
-  scratch.begin(channels);
-  for (std::uint32_t row = 0; row < n + channels; ++row) scratch.endRow();
-  for (ChannelId in = 0; in < channels; ++in) scratch.endAnyRow();
-  host.blocks_.assign(n, scratch.finish());
-
-  // Each component destination's host block translates its sub block row
-  // by row.  Entry order within a row is preserved: sub node ids ascend
-  // with host ids (ComponentMapping contract), so a sub adjacency scan
-  // visits neighbors in the same relative order a host scan would.
-  std::vector<NodeId> nodeToSub(n, topo::kInvalidNode);
-  std::vector<ChannelId> channelToSub(channels, topo::kInvalidChannel);
-  for (const ComponentMapping& part : parts) {
-    const RoutingTable& sub = *part.table;
-    for (NodeId v = 0; v < part.nodeToHost.size(); ++v) {
-      nodeToSub[part.nodeToHost[v]] = v;
-    }
-    for (ChannelId c = 0; c < part.channelToHost.size(); ++c) {
-      channelToSub[part.channelToHost[c]] = c;
-    }
-    const auto translate = [&part](std::span<const ChannelId> row,
-                                   std::vector<ChannelId>& out) {
-      for (const ChannelId c : row) out.push_back(part.channelToHost[c]);
-    };
-    for (NodeId subDst = 0; subDst < sub.nodeCount_; ++subDst) {
-      scratch.begin(channels);
-      for (ChannelId c = 0; c < sub.channelCount_; ++c) {
-        scratch.steps[part.channelToHost[c]] = sub.channelSteps(subDst, c);
-      }
-      for (NodeId src = 0; src < n; ++src) {
-        if (nodeToSub[src] != topo::kInvalidNode) {
-          translate(sub.firstChannels(nodeToSub[src], subDst), scratch.entries);
-        }
-        scratch.endRow();
-      }
-      for (ChannelId in = 0; in < channels; ++in) {
-        const ChannelId subIn = channelToSub[in];
-        if (subIn != topo::kInvalidChannel) {
-          translate(sub.nextChannels(subIn, subDst), scratch.entries);
-          translate(sub.nextChannelsAnyTurn(subIn, subDst), scratch.anyEntries);
-        }
-        scratch.endRow();
-        scratch.endAnyRow();
-      }
-      // Pairs in different components are unreachable, so the component
-      // summary is the host summary.
-      const Summary& from = sub.blockSummary(subDst);
-      scratch.reachableSources = from.reachableSources;
-      scratch.distanceSum = from.distanceSum;
-      host.blocks_[part.nodeToHost[subDst]] = scratch.finish();
-    }
-    for (const NodeId v : part.nodeToHost) nodeToSub[v] = topo::kInvalidNode;
-    for (const ChannelId c : part.channelToHost) {
-      channelToSub[c] = topo::kInvalidChannel;
-    }
-  }
-  return host;
-}
-
 std::uint16_t RoutingTable::distance(NodeId src, NodeId dst) const noexcept {
   if (src == dst) return 0;
   // Every first hop starts a minimal path, so any one gives the distance.

@@ -71,8 +71,9 @@ class RoutingTable {
   /// `channelAlive` (optional, one bit per channel, empty = all alive)
   /// masks dead channels out of the table: they seed no BFS, relax no
   /// predecessor, keep kNoPath steps everywhere, and appear in no candidate
-  /// row — the contract remapComponents() establishes for dead links, so a
-  /// running simulator can consume a masked table directly.
+  /// row, so a running simulator can consume a masked table directly.  A
+  /// full reconfiguration (fault/reconfigure.hpp) builds its host table
+  /// this way; pairs the mask disconnects stay unreachable.
   ///
   /// `spans` (optional) records a `table_build` span with `bfs` (the block
   /// construction) and `candidate_fill` (installing the blocks) children
@@ -124,7 +125,7 @@ class RoutingTable {
   const Topology& topology() const noexcept { return perms_->topology(); }
 
   /// Whether channel c is alive in this table: the mask it was built or
-  /// rebuilt with (remapComponents: the channels some component maps).
+  /// rebuilt with.
   bool channelAlive(ChannelId c) const noexcept {
     return (alive_[c >> 6] >> (c & 63)) & 1u;
   }
@@ -176,29 +177,6 @@ class RoutingTable {
   void nextChannels(ChannelId in, NodeId dst, std::vector<ChannelId>& out) const;
   void nextChannelsAnyTurn(ChannelId in, NodeId dst,
                            std::vector<ChannelId>& out) const;
-
-  // --- online reconfiguration (fault/reconfigure.cpp) ---
-
-  /// One connected component of a degraded topology, routed independently.
-  /// `table` was built on a compacted sub-topology; the maps take its node
-  /// and channel ids back into the host numbering.  Sub node ids must have
-  /// been assigned in ascending host-id order so that adjacency — and
-  /// therefore candidate-row — order is preserved under the mapping.
-  struct ComponentMapping {
-    const RoutingTable* table = nullptr;
-    std::span<const NodeId> nodeToHost;
-    std::span<const ChannelId> channelToHost;
-  };
-
-  /// Merges independently-routed components into one table expressed in the
-  /// host topology's numbering, so a running simulator can hot-swap routing
-  /// without renumbering its channel state.  Host channels outside every
-  /// mapping (dead links) keep kNoPath steps and empty candidate rows and
-  /// are therefore never offered as outputs; node pairs in different
-  /// components are unreachable.  `hostPerms` must express the merged turn
-  /// rule in host numbering and must outlive the returned table.
-  static RoutingTable remapComponents(const TurnPermissions& hostPerms,
-                                      std::span<const ComponentMapping> parts);
 
   /// True when the two tables hold identical routing contents (steps and
   /// all three candidate indexes as the accessors see them; the

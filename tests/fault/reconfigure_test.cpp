@@ -4,6 +4,8 @@
 // built directly on the degraded graph.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include "core/downup_routing.hpp"
@@ -12,6 +14,8 @@
 #include "topology/generate.hpp"
 #include "tree/coordinated_tree.hpp"
 #include "util/rng.hpp"
+#include "util/span_recorder.hpp"
+#include "util/thread_pool.hpp"
 
 namespace downup::fault {
 namespace {
@@ -40,6 +44,25 @@ topo::Topology twoTriangles() {
 
 std::vector<std::uint8_t> allAlive(std::size_t count) {
   return std::vector<std::uint8_t>(count, 1);
+}
+
+/// Link mask that cuts each hub and its neighbours off from the rest of
+/// the topology (and from each other's group).
+std::vector<std::uint8_t> cutOffHubs(const topo::Topology& topo,
+                                     std::initializer_list<topo::NodeId> hubs) {
+  std::vector<unsigned> group(topo.nodeCount(), 0);
+  unsigned next = 0;
+  for (const topo::NodeId hub : hubs) {
+    ++next;
+    group[hub] = next;
+    for (const topo::NodeId w : topo.neighbors(hub)) group[w] = next;
+  }
+  auto linksUp = allAlive(topo.linkCount());
+  for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+    const auto [a, b] = topo.linkEnds(l);
+    if (group[a] != group[b]) linksUp[l] = 0;
+  }
+  return linksUp;
 }
 
 TEST(ReconfiguratorTest, HealthyRebuildMatchesDirectBuild) {
@@ -161,6 +184,64 @@ TEST(ReconfiguratorTest, RebuildVerdictsArePinnedForSwitchDeath) {
   EXPECT_EQ(dead.unreachablePairs, 0u);
   EXPECT_EQ(dead.averagePathLength, 0x1.48590b21642c8p+1);
   EXPECT_EQ(dead.table->fingerprint(), 0x21cff00389b9be3bull);
+}
+
+// Three routed components (14, 5 and 5 switches).  The mean path is the
+// host table's integer distance sum over its reachable pairs; the pinned
+// value was recorded when each component had its own table and the mean
+// was the pair-weighted mean of the component means.
+TEST(ReconfiguratorTest, RebuildVerdictsArePinnedForThreeComponents) {
+  const topo::Topology topo = makeSan();
+  const Reconfigurator reconf(topo);
+
+  const ReconfigOutcome split =
+      reconf.rebuild(cutOffHubs(topo, {11, 0}), allAlive(topo.nodeCount()));
+  EXPECT_EQ(split.components, 3u);
+  EXPECT_EQ(split.aliveNodes, 24u);
+  EXPECT_EQ(split.aliveLinks, 29u);
+  EXPECT_TRUE(split.ok());
+  EXPECT_EQ(split.unreachablePairs, 330u);  // 2*14*10 + 2*5*5
+  EXPECT_EQ(split.averagePathLength, 0x1.36c657a3bf6c6p+1);
+  EXPECT_EQ(split.table->fingerprint(), 0xb612d9f4fc157047ull);
+}
+
+// A full rebuild builds one table over the host topology, so a 256-switch
+// fabric crosses the parallel cutover (kParallelBuildMinDestinations) even
+// when every component is smaller: the pooled build must fan out and still
+// produce the serial table.
+TEST(ReconfiguratorTest, PooledPartitionRebuildMatchesSerialRebuild) {
+  util::Rng rng(1);
+  const topo::Topology topo =
+      topo::randomIrregular(256, {.maxPorts = 4}, rng);
+  const auto linksUp = cutOffHubs(topo, {17});
+  const auto nodesUp = allAlive(topo.nodeCount());
+
+  const ReconfigOutcome serial = Reconfigurator(topo).rebuild(linksUp, nodesUp);
+  util::ThreadPool pool(4);
+  util::SpanRecorder spans;
+  Reconfigurator pooledReconf(topo, &pool);
+  pooledReconf.setSpans(&spans);
+  const ReconfigOutcome pooled = pooledReconf.rebuild(linksUp, nodesUp);
+
+  EXPECT_EQ(serial.components, 2u);
+  EXPECT_TRUE(serial.ok());
+  EXPECT_TRUE(pooled.ok());
+  EXPECT_EQ(pooled.unreachablePairs, serial.unreachablePairs);
+  EXPECT_EQ(pooled.averagePathLength, serial.averagePathLength);
+  EXPECT_TRUE(pooled.table->identicalTo(*serial.table));
+  EXPECT_EQ(serial.table->fingerprint(), 0x530ebe5673411e7cull);
+  EXPECT_EQ(pooled.table->fingerprint(), serial.table->fingerprint());
+
+  bool fannedOut = false;
+  for (const auto& s : spans.snapshot()) {
+    if (std::strcmp(s.name, "table_build") != 0) continue;
+    for (std::uint8_t a = 0; a < s.argCount; ++a) {
+      if (std::strcmp(s.args[a].key, "parallel") == 0) {
+        fannedOut = s.args[a].value == 1.0;
+      }
+    }
+  }
+  EXPECT_TRUE(fannedOut);
 }
 
 TEST(ReconfiguratorTest, DegradedRebuildMatchesDirectDegradedBuild) {
