@@ -198,12 +198,6 @@ class EpochPublisher {
   std::uint64_t publish(std::unique_ptr<routing::TurnPermissions> perms,
                         std::unique_ptr<routing::RoutingTable> table);
 
-  /// Writer-side peek at the current snapshot (for incremental rebuilds
-  /// against the epoch being replaced).
-  const TableSnapshot& currentForWriter() const noexcept {
-    return *current_.load(std::memory_order_acquire);
-  }
-
   /// Frees every retired snapshot no reader slot announces; returns how
   /// many were reclaimed.  Non-blocking — pinned epochs simply stay on the
   /// retired list until a later call finds them released.

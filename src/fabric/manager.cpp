@@ -12,6 +12,7 @@ FabricManager::FabricManager(const topo::Topology& topo,
                              const routing::RoutingTable& baseline,
                              Options options)
     : topo_(&topo),
+      healthy_(&baseline),
       reconfigurator_(topo, options.pool),
       publisher_(baseline, options.maxReaders),
       options_(options),
@@ -70,25 +71,102 @@ bool FabricManager::drainBatch() {
   return changed;
 }
 
+std::vector<std::uint8_t> FabricManager::channelAliveMask(
+    std::span<const std::uint8_t> linkAlive,
+    std::span<const std::uint8_t> nodeAlive) const {
+  std::vector<std::uint8_t> channelAlive(topo_->channelCount(), 0);
+  for (topo::LinkId l = 0; l < topo_->linkCount(); ++l) {
+    const auto [a, b] = topo_->linkEnds(l);
+    const std::uint8_t alive = linkAlive[l] && nodeAlive[a] && nodeAlive[b];
+    channelAlive[2 * l] = alive;
+    channelAlive[2 * l + 1] = alive;
+  }
+  return channelAlive;
+}
+
+const routing::RoutingTable* FabricManager::anchorTable(
+    Anchor anchor) const noexcept {
+  return anchor == Anchor::kHealthy ? healthy_ : fullTable_.get();
+}
+
+std::optional<Anchor> FabricManager::pickParent(
+    std::span<const std::uint8_t> channelAlive, std::size_t first,
+    AnchorMisses& misses) const {
+  for (std::size_t i = first; i < kAnchors; ++i) {
+    const auto anchor = static_cast<Anchor>(i);
+    const routing::RoutingTable* table = anchorTable(anchor);
+    if (table == nullptr) {
+      misses[i] = AnchorMiss::kAbsent;
+      continue;
+    }
+    // rebuildDead cannot revive a channel, and the rule an anchor inherits
+    // cannot serve the loss of one of its tree channels (no single tree
+    // link's loss was servable on any probed fabric).
+    const routing::TurnPermissions& rule = table->permissions();
+    bool revived = false;
+    bool deadTree = false;
+    for (routing::ChannelId c = 0; c < channelAlive.size(); ++c) {
+      const bool was = table->channelAlive(c);
+      if (channelAlive[c] != 0 && !was) revived = true;
+      if (channelAlive[c] == 0 && was &&
+          (rule.dir(c) == routing::Dir::kLuTree ||
+           rule.dir(c) == routing::Dir::kRdTree)) {
+        deadTree = true;
+      }
+    }
+    if (revived) {
+      misses[i] = AnchorMiss::kRevivedChannel;
+    } else if (deadTree) {
+      misses[i] = AnchorMiss::kDeadTreeChannel;
+    } else {
+      return anchor;
+    }
+  }
+  return std::nullopt;
+}
+
 PublishResult FabricManager::rebuildAndPublish(
     std::span<const std::uint8_t> linkAlive,
     std::span<const std::uint8_t> nodeAlive, bool incremental,
-    std::uint64_t batchSize) {
+    std::uint64_t batchSize, util::ScopedSpan& rebuildSpan) {
   FabricMetrics* const metrics = options_.metrics;
   const auto startTime = std::chrono::steady_clock::now();
   flight_.record(obs::FabricEventKind::kRebuildStarted, 0,
                  incremental ? 1 : 0, batchSize);
 
   rebuildActive_.store(true, std::memory_order_release);
+  const std::vector<std::uint8_t> channelAlive =
+      channelAliveMask(linkAlive, nodeAlive);
+  AnchorMisses misses;
+  misses.fill(AnchorMiss::kNotRequested);
+  std::optional<fault::ReconfigOutcome> built;
+  Anchor parent = Anchor::kHealthy;
+  std::size_t next = 0;
+  while (incremental) {
+    const std::optional<Anchor> anchor = pickParent(channelAlive, next, misses);
+    if (!anchor) break;
+    built = reconfigurator_.tryIncremental(*anchorTable(*anchor), linkAlive,
+                                           nodeAlive);
+    if (built) {
+      parent = *anchor;
+      break;
+    }
+    next = static_cast<std::size_t>(*anchor);
+    misses[next++] = AnchorMiss::kFailedChecks;
+  }
   fault::ReconfigOutcome outcome =
-      incremental
-          ? reconfigurator_.rebuildIncremental(
-                publisher_.currentForWriter().table(), linkAlive, nodeAlive)
-          : reconfigurator_.rebuild(linkAlive, nodeAlive);
+      built ? std::move(*built) : reconfigurator_.rebuild(linkAlive, nodeAlive);
+  if (outcome.incremental) {
+    rebuildSpan.arg("parent", static_cast<double>(parent));
+  } else {
+    rebuildSpan.arg("healthy", static_cast<double>(misses[0]));
+    rebuildSpan.arg("anchor", static_cast<double>(misses[1]));
+  }
 
   PublishResult result;
   result.published = true;
   result.incremental = outcome.incremental;
+  result.parent = parent;
   result.rebuiltDestinations = outcome.rebuiltDestinations;
   result.unreachablePairs = outcome.unreachablePairs;
   result.components = outcome.components;
@@ -98,13 +176,6 @@ PublishResult FabricManager::rebuildAndPublish(
   // observational only (the publish proceeds so the engine's deterministic
   // swap protocol is unaffected).
   if (options_.oracle != nullptr) {
-    std::vector<std::uint8_t> channelAlive(topo_->channelCount(), 0);
-    for (topo::LinkId l = 0; l < topo_->linkCount(); ++l) {
-      const auto [a, b] = topo_->linkEnds(l);
-      const std::uint8_t alive = linkAlive[l] && nodeAlive[a] && nodeAlive[b];
-      channelAlive[2 * l] = alive;
-      channelAlive[2 * l + 1] = alive;
-    }
     verify::OracleInput input;
     input.perms = outcome.perms.get();
     input.table = outcome.table.get();
@@ -121,6 +192,14 @@ PublishResult FabricManager::rebuildAndPublish(
   }
   {
     util::ScopedSpan publishSpan(options_.spans, "publish");
+    if (!outcome.incremental) {
+      // The newest-full anchor: copies of the rule and of the table object,
+      // whose blocks stay shared with the epoch.
+      auto perms = std::make_unique<routing::TurnPermissions>(*outcome.perms);
+      fullTable_ = std::make_unique<routing::RoutingTable>(*outcome.table);
+      fullTable_->rebindPermissions(*perms);
+      fullPerms_ = std::move(perms);
+    }
     result.epoch =
         publisher_.publish(std::move(outcome.perms), std::move(outcome.table));
     rebuildActive_.store(false, std::memory_order_release);
@@ -153,6 +232,9 @@ PublishResult FabricManager::rebuildAndPublish(
     metrics->rebuildsRun.fetch_add(1, std::memory_order_relaxed);
     if (outcome.incremental) {
       metrics->rebuildsIncremental.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      metrics->fullRebuildsByHealthyMiss[static_cast<std::size_t>(misses[0])]
+          .fetch_add(1, std::memory_order_relaxed);
     }
     metrics->dirtyDestinationsTotal.fetch_add(result.rebuiltDestinations,
                                               std::memory_order_relaxed);
@@ -175,8 +257,8 @@ PublishResult FabricManager::publishFromMasks(
   drainBatch();
   const std::size_t drained = batch_.size();
 
-  PublishResult result =
-      rebuildAndPublish(linkAlive, nodeAlive, incremental, drained);
+  PublishResult result = rebuildAndPublish(linkAlive, nodeAlive, incremental,
+                                           drained, rebuildSpan);
   result.transitionsAbsorbed = drained;
   // The engine's masks are ground truth; fold them into desired so a later
   // service start would not see phantom divergence.
@@ -188,8 +270,12 @@ PublishResult FabricManager::publishFromMasks(
 double FabricManager::incrementalDirtyFraction(
     std::span<const std::uint8_t> linkAlive,
     std::span<const std::uint8_t> nodeAlive) const {
-  return reconfigurator_.incrementalDirtyFraction(
-      publisher_.currentForWriter().table(), linkAlive, nodeAlive);
+  AnchorMisses misses{};
+  const std::optional<Anchor> anchor =
+      pickParent(channelAliveMask(linkAlive, nodeAlive), 0, misses);
+  if (!anchor) return 1.0;
+  return reconfigurator_.incrementalDirtyFraction(*anchorTable(*anchor),
+                                                  linkAlive, nodeAlive);
 }
 
 void FabricManager::startService() {
@@ -244,8 +330,8 @@ void FabricManager::serviceLoop() {
     const std::size_t drained = batch_.size();
     if (drained > 0) {
       if (changed) {
-        rebuildAndPublish(desiredLink_, desiredNode_, options_.incremental,
-                          drained);
+        rebuildAndPublish(desiredLink_, desiredNode_, /*incremental=*/true,
+                          drained, rebuildSpan);
       } else {
         // The burst cancelled out (flap): desired == applied, nothing to do.
         rebuildsSkipped_.fetch_add(1, std::memory_order_relaxed);

@@ -9,11 +9,9 @@
 //
 //  * Driven mode — the deterministic simulator path.  The engine thread
 //    calls publishFromMasks() with FaultController's alive masks as the
-//    authoritative rebuild input; the manager rebuilds (full or
-//    incremental against the epoch being replaced) and ALWAYS publishes.
-//    Identical Reconfigurator inputs to the pre-fabric engine, so every
-//    swapped table is bit-for-bit the one the old in-place path produced;
-//    the queue is drained only for coalescing statistics.
+//    authoritative rebuild input; the manager rebuilds (full, or
+//    incremental from an anchor) and ALWAYS publishes.  The queue is
+//    drained only for coalescing statistics.
 //
 //  * Service mode — the fabric-controller shape.  startService() launches a
 //    background rebuild thread that parks on the event queue, sleeps one
@@ -24,6 +22,20 @@
 //    failures fold into ONE rebuild over the union dirty set.  Publishes go
 //    through the same epoch swap the readers pin against.
 //
+// Both modes build an incremental epoch from one of two anchors, tried in
+// order: the healthy baseline the manager is constructed with, and a copy
+// of the newest full-rebuild epoch's rule and table (sharing that epoch's
+// blocks; every full rebuild replaces it).  An anchor is skipped, with
+// nothing built, when the masks revive a channel dead in it or kill a
+// channel its rule classifies as a tree channel (a DOWN/UP direction) — a
+// tree link's loss is what the inherited rule cannot serve.  Otherwise
+// Reconfigurator::tryIncremental builds the epoch, and a failed check
+// moves on to the next anchor; when neither serves, the publish is a full
+// rebuild.  Every incremental epoch is therefore its anchor's acyclic rule
+// restricted to a subset of the channels it was verified on, and its table
+// is identical to a masked full build of that rule.  A return to the
+// healthy masks republishes the baseline's blocks.
+//
 // Reader threads call makeReader() once and acquire()/release pins around
 // lookups; the read path is the lock-free protocol documented in
 // fabric/epoch.hpp.  tryReclaim() runs on the writer after each publish
@@ -31,9 +43,11 @@
 // pinned reader moves on.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -50,12 +64,20 @@ class OracleGate;
 
 namespace downup::fabric {
 
+/// The tables an incremental epoch is built from, in the order tried.
+enum class Anchor : std::uint8_t {
+  kHealthy,     // the baseline the manager was constructed with
+  kNewestFull,  // the newest full-rebuild epoch
+};
+inline constexpr std::size_t kAnchors = 2;
+
 /// What one writer-side publish attempt did (scalars only; the table itself
 /// is reachable through acquire()).
 struct PublishResult {
   std::uint64_t epoch = 0;    // epoch now current (unchanged when skipped)
   bool published = false;     // false = coalescing cancelled the rebuild
-  bool incremental = false;   // rebuild kept the previous turn rule
+  bool incremental = false;   // rebuild kept an anchor's turn rule...
+  Anchor parent = Anchor::kHealthy;  // ...this one's (when incremental)
   std::uint32_t rebuiltDestinations = 0;
   std::uint64_t unreachablePairs = 0;
   unsigned components = 0;
@@ -73,12 +95,10 @@ class FabricManager final : public fault::FaultEventSink {
     /// Service mode: how long the rebuild thread waits after a burst's
     /// first transition before draining and rebuilding.
     std::uint64_t coalesceWindowMicros = 200;
-    /// Service mode: prefer the incremental rebuild path.
-    bool incremental = true;
     /// Optional span recorder: every publish decision emits a `rebuild`
-    /// root span with coalesce/dequeue/construction/publish children (see
-    /// obs/span.hpp for the tree).  Must outlive the manager; nullptr (the
-    /// default) costs one branch per stage.
+    /// root span with coalesce/dequeue/construction/publish children and
+    /// the anchor args (see obs/span.hpp for the tree).  Must outlive the
+    /// manager; nullptr (the default) costs one branch per stage.
     util::SpanRecorder* spans = nullptr;
     /// Optional service metrics (fabric/metrics.hpp): pin-acquire latency,
     /// snapshot lifetimes, retire-list depth, the coalescing ledger.  Must
@@ -97,8 +117,8 @@ class FabricManager final : public fault::FaultEventSink {
     verify::OracleGate* oracle = nullptr;
   };
 
-  /// `topo` and `baseline` (the healthy epoch-0 table) must outlive the
-  /// manager.
+  /// `topo` and `baseline` (the healthy epoch-0 table, and the healthy
+  /// anchor of every incremental epoch) must outlive the manager.
   FabricManager(const topo::Topology& topo,
                 const routing::RoutingTable& baseline, Options options);
   FabricManager(const topo::Topology& topo,
@@ -142,16 +162,17 @@ class FabricManager final : public fault::FaultEventSink {
   // --- driven mode (single writer thread; no service running) ---
 
   /// Rebuilds from the given authoritative alive masks and publishes the
-  /// next epoch unconditionally.  `incremental` rebuilds against the epoch
-  /// being replaced when possible.  Drains the transition queue for
+  /// next epoch unconditionally.  `incremental` builds the epoch from the
+  /// first anchor that serves the masks (see the class comment); false
+  /// always takes the full rebuild.  Drains the transition queue for
   /// coalescing stats only — the masks are the rebuild input.
   PublishResult publishFromMasks(std::span<const std::uint8_t> linkAlive,
                                  std::span<const std::uint8_t> nodeAlive,
                                  bool incremental);
 
-  /// Fraction of per-destination routing work an incremental rebuild from
-  /// the CURRENT epoch would redo under these masks (1.0 when the
-  /// incremental path cannot apply).  Writer thread only.
+  /// Fraction of per-destination routing work an incremental publish under
+  /// these masks would redo, from the anchor it would try first (1.0 when
+  /// the masks rule out both anchors).  Writer thread only.
   double incrementalDirtyFraction(
       std::span<const std::uint8_t> linkAlive,
       std::span<const std::uint8_t> nodeAlive) const;
@@ -213,16 +234,33 @@ class FabricManager final : public fault::FaultEventSink {
   /// and counts it in transitionsAbsorbed_ / largestBatch_; returns
   /// foldBatch's verdict.
   bool drainBatch();
-  /// Rebuilds from desiredLink_/desiredNode_ and publishes (service mode).
-  /// `batchSize` is the transition count folded into this decision
-  /// (flight-recorder annotation only).
+  using AnchorMisses = std::array<AnchorMiss, kAnchors>;
+
+  /// Rebuilds from the masks and publishes (both modes).  `batchSize` is
+  /// the transition count folded into this decision (flight-recorder
+  /// annotation only); `rebuildSpan` is the decision's root span, which
+  /// gets the anchor args.
   PublishResult rebuildAndPublish(std::span<const std::uint8_t> linkAlive,
                                   std::span<const std::uint8_t> nodeAlive,
-                                  bool incremental,
-                                  std::uint64_t batchSize);
+                                  bool incremental, std::uint64_t batchSize,
+                                  util::ScopedSpan& rebuildSpan);
+  /// The first anchor from `first` on that the per-channel alive mask does
+  /// not rule out, without building anything; records in `misses` why each
+  /// anchor it passes over cannot serve.  nullopt when none is left.
+  std::optional<Anchor> pickParent(std::span<const std::uint8_t> channelAlive,
+                                   std::size_t first,
+                                   AnchorMisses& misses) const;
+  /// The anchor's table; nullptr for the newest-full anchor before the
+  /// first full rebuild.
+  const routing::RoutingTable* anchorTable(Anchor anchor) const noexcept;
+  /// One byte per channel: alive when its link and both endpoints are.
+  std::vector<std::uint8_t> channelAliveMask(
+      std::span<const std::uint8_t> linkAlive,
+      std::span<const std::uint8_t> nodeAlive) const;
   void serviceLoop();
 
   const topo::Topology* topo_;
+  const routing::RoutingTable* healthy_;
   fault::Reconfigurator reconfigurator_;
   EpochPublisher publisher_;
   FabricEventQueue queue_;
@@ -237,6 +275,10 @@ class FabricManager final : public fault::FaultEventSink {
   std::vector<std::uint8_t> appliedLink_;
   std::vector<std::uint8_t> appliedNode_;
   std::vector<FaultTransition> batch_;  // drain scratch
+  // The newest-full anchor (writer only): a copy of the newest full
+  // rebuild's rule, and of its table rebound to that copy.
+  std::unique_ptr<routing::TurnPermissions> fullPerms_;
+  std::unique_ptr<routing::RoutingTable> fullTable_;
 
   std::thread serviceThread_;
   std::atomic<bool> serviceStop_{false};

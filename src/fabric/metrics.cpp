@@ -66,6 +66,22 @@ LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
   return snap;
 }
 
+const char* toString(AnchorMiss miss) noexcept {
+  switch (miss) {
+    case AnchorMiss::kNotRequested:
+      return "notRequested";
+    case AnchorMiss::kAbsent:
+      return "absent";
+    case AnchorMiss::kRevivedChannel:
+      return "revivedChannel";
+    case AnchorMiss::kDeadTreeChannel:
+      return "deadTreeChannel";
+    case AnchorMiss::kFailedChecks:
+      return "failedChecks";
+  }
+  return "unknown";
+}
+
 namespace {
 
 void writeHistogram(std::ostream& out, const char* name,
@@ -106,7 +122,13 @@ void FabricMetrics::writeJson(std::ostream& out) const {
       << ",\"rebuildsIncremental\":" << load(rebuildsIncremental)
       << ",\"flapsCancelled\":" << load(flapsCancelled)
       << ",\"dirtyDestinationsTotal\":" << load(dirtyDestinationsTotal)
-      << ",\"dirtyDestinationsMax\":" << load(dirtyDestinationsMax) << "}";
+      << ",\"dirtyDestinationsMax\":" << load(dirtyDestinationsMax)
+      << ",\"fullRebuildsByHealthyMiss\":{";
+  for (std::size_t i = 0; i < kAnchorMissCodes; ++i) {
+    out << (i == 0 ? "\"" : ",\"") << toString(static_cast<AnchorMiss>(i))
+        << "\":" << load(fullRebuildsByHealthyMiss[i]);
+  }
+  out << "}}";
 }
 
 }  // namespace downup::fabric

@@ -80,6 +80,21 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
+/// Why an incremental anchor (FabricManager, fabric/manager.hpp) did not
+/// serve a publish.  A publish that ends in a full rebuild carries one code
+/// per anchor as the `healthy` and `anchor` args of its `rebuild` span.
+enum class AnchorMiss : std::uint8_t {
+  kNotRequested,     // a driven publish asked for a full rebuild
+  kAbsent,           // no full rebuild has run yet (newest-full anchor)
+  kRevivedChannel,   // the masks revive a channel dead in the anchor
+  kDeadTreeChannel,  // the masks kill a tree channel of the anchor's rule
+  kFailedChecks,     // a cycle on alive channels, or an unreachable
+                     // within-component pair
+};
+inline constexpr std::size_t kAnchorMissCodes = 5;
+
+const char* toString(AnchorMiss miss) noexcept;
+
 /// The fabric service's control-plane metrics.  All fields are readable
 /// from any thread at any time.
 struct FabricMetrics {
@@ -104,6 +119,9 @@ struct FabricMetrics {
   std::atomic<std::uint64_t> flapsCancelled{0};
   std::atomic<std::uint64_t> dirtyDestinationsTotal{0};
   std::atomic<std::uint64_t> dirtyDestinationsMax{0};
+  /// Full rebuilds, indexed by why the healthy anchor did not serve them.
+  std::array<std::atomic<std::uint64_t>, kAnchorMissCodes>
+      fullRebuildsByHealthyMiss{};
 
   /// One JSON object (no trailing newline) with every counter and
   /// histogram snapshot — appended to bench rows and --metrics-out lines.

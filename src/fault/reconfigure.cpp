@@ -234,21 +234,21 @@ std::vector<std::uint64_t> Reconfigurator::channelAliveWords(
 }
 
 double Reconfigurator::incrementalDirtyFraction(
-    const routing::RoutingTable& prevTable,
+    const routing::RoutingTable& anchor,
     std::span<const std::uint8_t> linkAlive,
     std::span<const std::uint8_t> nodeAlive) const {
   const NodeId n = topo_->nodeCount();
   if (n == 0) return 1.0;
   const std::vector<std::uint64_t> alive =
       channelAliveWords(linkAlive, nodeAlive);
-  const std::uint32_t dirty = prevTable.dirtyDestinationCount(alive);
+  const std::uint32_t dirty = anchor.dirtyDestinationCount(alive);
   // Never report zero work: even an empty dirty set pays the delta scan.
   return std::max(1.0 / static_cast<double>(n),
                   static_cast<double>(dirty) / static_cast<double>(n));
 }
 
-ReconfigOutcome Reconfigurator::rebuildIncremental(
-    const routing::RoutingTable& prevTable,
+std::optional<ReconfigOutcome> Reconfigurator::tryIncremental(
+    const routing::RoutingTable& anchor,
     std::span<const std::uint8_t> linkAlive,
     std::span<const std::uint8_t> nodeAlive) const {
   const Topology& topo = *topo_;
@@ -256,17 +256,16 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
       channelAliveWords(linkAlive, nodeAlive);
 
   // rebuildDead refuses a channel that is alive now but was dead in the
-  // previous epoch: that epoch's turn rule never classified it, so only a
-  // full rebuild can route through it.
+  // anchor: the anchor's turn rule never classified it.
   std::vector<NodeId> dirty;
   std::optional<RoutingTable> table =
-      RoutingTable::rebuildDead(prevTable, pool_, alive, &dirty, spans_);
-  if (!table) return rebuild(linkAlive, nodeAlive);
+      RoutingTable::rebuildDead(anchor, pool_, alive, &dirty, spans_);
+  if (!table) return std::nullopt;
 
   ReconfigOutcome out;
   out.incremental = true;
   out.rebuiltDestinations = static_cast<std::uint32_t>(dirty.size());
-  out.perms = std::make_unique<TurnPermissions>(prevTable.permissions());
+  out.perms = std::make_unique<TurnPermissions>(anchor.permissions());
   out.table = std::make_unique<RoutingTable>(std::move(*table));
   out.table->rebindPermissions(*out.perms);
 
@@ -281,21 +280,32 @@ ReconfigOutcome Reconfigurator::rebuildIncremental(
   partitionSpan.close();
 
   util::ScopedSpan verifySpan(spans_, "verify");
-  // The inherited rule's channel-dependency graph was acyclic and lost only
-  // vertices/edges, so the epoch is deadlock-free by construction; the
-  // check below re-verifies the (superset) inherited graph.
-  out.deadlockFree = routing::checkChannelDependencies(*out.perms).acyclic;
+  // The anchor's channel-dependency graph restricted to the alive channels
+  // lost only vertices and edges, so it is acyclic whenever the anchor's
+  // was.  The check runs on alive channels only: the directions a full
+  // rebuild leaves on dead channels are arbitrary, and no packet can take
+  // a dead channel.
+  out.deadlockFree =
+      routing::checkChannelDependencies(*out.perms, alive).acyclic;
 
   // Cross-component pairs are unreachable by design; a within-component
-  // unreachable pair means the old tree cannot serve the degraded graph
-  // (e.g. the failure cut the region the turn rule funnels traffic
-  // through) — re-rooting may fix that, so fall back to the full rebuild.
+  // unreachable pair means the anchor's tree cannot serve the degraded
+  // graph (e.g. the failure cut the region the turn rule funnels traffic
+  // through), and only re-rooting can.
   summarizeReachability(labels, out);
   verifySpan.close();
-  if (!out.componentsConnected || !out.deadlockFree) {
-    return rebuild(linkAlive, nodeAlive);
-  }
+  if (!out.ok()) return std::nullopt;
   return out;
+}
+
+ReconfigOutcome Reconfigurator::rebuildIncremental(
+    const routing::RoutingTable& prevTable,
+    std::span<const std::uint8_t> linkAlive,
+    std::span<const std::uint8_t> nodeAlive) const {
+  std::optional<ReconfigOutcome> out =
+      tryIncremental(prevTable, linkAlive, nodeAlive);
+  if (out) return std::move(*out);
+  return rebuild(linkAlive, nodeAlive);
 }
 
 }  // namespace downup::fault

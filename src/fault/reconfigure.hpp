@@ -14,9 +14,17 @@
 // each component's rule is; pairs in different components stay unreachable
 // and are reported for the engine to drop with attribution.
 //
+// The incremental path (tryIncremental) keeps an anchor table's turn rule
+// and rebuilds only the destinations a newly dead channel can touch.  The
+// anchor is whatever table the caller picks: FabricManager tries the
+// healthy baseline and then the newest full rebuild (fabric/manager.hpp),
+// and rebuildIncremental takes the table it is handed and falls back to
+// rebuild() when that table cannot serve the masks.
+//
 // Both rebuild paths verify an outcome with the same two checks: the
 // turn rule's channel-dependency graph is acyclic (checkChannelDependencies,
-// per component on the full path) and the host table's reachability summary
+// per component on the full path, on the alive channels of the host rule
+// on the incremental one) and the host table's reachability summary
 // accounts for every within-component pair.  The independent oracle
 // (verify/gate.hpp) audits what goes live, once per epoch, in
 // FabricManager's publish; a Reconfigurator outcome that is never published
@@ -25,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "routing/routing_table.hpp"
@@ -50,8 +59,8 @@ struct ReconfigOutcome {
   bool componentsConnected = false;
   /// Mean legal hop count over reachable pairs, across components.
   double averagePathLength = 0.0;
-  /// Epoch was produced by the incremental path: previous turn rule kept,
-  /// only dirty destinations rebuilt.
+  /// Epoch was produced by the incremental path: the anchor's turn rule
+  /// kept, only dirty destinations rebuilt.
   bool incremental = false;
   /// Destinations whose table rows were recomputed (aliveNodes on a full
   /// rebuild; the incremental path's dirty-set size otherwise).
@@ -87,25 +96,36 @@ class Reconfigurator {
   ReconfigOutcome rebuild(std::span<const std::uint8_t> linkAlive,
                           std::span<const std::uint8_t> nodeAlive) const;
 
-  /// Incremental epoch: keeps `prevTable`'s turn rule — restricting an
-  /// acyclic channel-dependency graph to surviving channels cannot create a
-  /// cycle, so deadlock freedom is inherited — and recomputes only the
-  /// destinations whose minimal-path structure a newly dead channel can
-  /// touch (RoutingTable::rebuildDead).  Falls back to a full rebuild()
-  /// when a channel revived relative to prevTable, or when the inherited
-  /// rule leaves a within-component pair unreachable that re-rooting could
-  /// serve (e.g. the failure cut off the old tree root's region).  The
-  /// outcome reports which path ran via `incremental`.
+  /// Incremental epoch from `anchor`: keeps its turn rule and recomputes
+  /// only the destinations whose minimal-path structure a channel dead now
+  /// but alive in the anchor can touch (RoutingTable::rebuildDead).  The
+  /// table is identical to a masked RoutingTable::build of the anchor's
+  /// rule.  Restricting an acyclic channel-dependency graph to fewer
+  /// channels cannot create a cycle, and the outcome's check runs on the
+  /// alive channels only, so a full rebuild's arbitrary directions on its
+  /// dead channels raise no false cycle.  Returns nullopt, having built at
+  /// most the dirty blocks, when a channel revived relative to the anchor
+  /// or when the outcome fails its checks: a cycle on alive channels, or a
+  /// within-component pair the anchor's rule leaves unreachable that
+  /// re-rooting could serve (e.g. the failure cut off the old tree root's
+  /// region).
+  std::optional<ReconfigOutcome> tryIncremental(
+      const routing::RoutingTable& anchor,
+      std::span<const std::uint8_t> linkAlive,
+      std::span<const std::uint8_t> nodeAlive) const;
+
+  /// tryIncremental(prevTable, ...), else rebuild(); the outcome's
+  /// `incremental` reports which path ran.
   ReconfigOutcome rebuildIncremental(
       const routing::RoutingTable& prevTable,
       std::span<const std::uint8_t> linkAlive,
       std::span<const std::uint8_t> nodeAlive) const;
 
   /// Fraction (0, 1] of per-destination construction work an incremental
-  /// epoch would redo given the masks; 1.0 when the incremental path cannot
-  /// apply.  The engine uses this to size the reconfiguration window at
-  /// fault time, before the rebuild itself runs.
-  double incrementalDirtyFraction(const routing::RoutingTable& prevTable,
+  /// epoch from `anchor` would redo given the masks; 1.0 when a channel
+  /// revived relative to it.  The engine uses this to size the
+  /// reconfiguration window at fault time, before the rebuild itself runs.
+  double incrementalDirtyFraction(const routing::RoutingTable& anchor,
                                   std::span<const std::uint8_t> linkAlive,
                                   std::span<const std::uint8_t> nodeAlive) const;
 

@@ -6,26 +6,32 @@
 // construction pipeline via core::DownUpOptions / fault::Reconfigurator)
 // records the full rebuild pipeline as nested spans:
 //
-//   rebuild                     one service-loop decision or driven publish
+//   rebuild                     one service-loop decision or driven publish;
+//   │                           args: `parent` (fabric::Anchor) on an
+//   │                           incremental publish, `healthy` and `anchor`
+//   │                           (fabric::AnchorMiss: why the healthy and
+//   │                           newest-full anchors did not serve) on a
+//   │                           full rebuild
 //   ├─ coalesce_wait            the burst-coalescing sleep (service mode)
 //   ├─ event_dequeue            queue drain + fold into desired masks
 //   ├─ partition / subtopo      alive-component labelling + compaction
 //   ├─ tree                     coordinated-tree construction per component
 //   ├─ classify / repair / release   turn-rule stages per component
 //   ├─ verify                   deadlock-freedom check (per component on a
-//   │                           full rebuild), then connectivity from the
-//   │                           table's reachability summary
+//   │                           full rebuild, on alive channels on an
+//   │                           incremental one), then connectivity from
+//   │                           the table's reachability summary
 //   ├─ merge                    full rebuild: component rules into host
 //   │                           numbering
 //   ├─ table_build              RoutingTable::build (a full rebuild's one
 //   │  │                        host table, after merge) or rebuildDead
 //   │  ├─ dirty_delta           rebuildDead only: newly dead channels from
-//   │  │                        the table's recorded mask (a revival ends
+//   │  │                        the anchor's recorded mask (a revival ends
 //   │  │                        the incremental path here) + dirty-set scan
 //   │  ├─ bfs                   per-destination block fan-out: reverse BFS,
 //   │  │                        then the destination's candidate rows
 //   │  └─ candidate_fill        installing the blocks; rebuildDead shares
-//   │                           every clean block with the previous table
+//   │                           every clean block with the anchor
 //   └─ publish                  epoch swap + reclaim sweep
 //
 // Parallel stages carry `threads` / `parallel` args so a trace shows which

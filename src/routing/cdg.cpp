@@ -69,10 +69,20 @@ struct CycleFinder {
 
 }  // namespace
 
-CdgResult checkChannelDependencies(const TurnPermissions& perms) {
+CdgResult checkChannelDependencies(const TurnPermissions& perms,
+                                   std::span<const std::uint64_t> channelAlive) {
   CdgResult result;
   CycleFinder finder(perms);
   const auto channels = perms.topology().channelCount();
+  // A dead channel starts out finished: the search never starts from it
+  // and never descends into it.
+  if (!channelAlive.empty()) {
+    for (ChannelId c = 0; c < channels; ++c) {
+      if (((channelAlive[c >> 6] >> (c & 63)) & 1u) == 0) {
+        finder.mark[c] = Mark::kBlack;
+      }
+    }
+  }
   for (ChannelId c = 0; c < channels; ++c) {
     if (finder.mark[c] != Mark::kWhite) continue;
     if (finder.run(c, result.cycle)) {

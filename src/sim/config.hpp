@@ -93,15 +93,17 @@ struct SimConfig {
   /// (the modelled cost of tree recomputation + table distribution).  A
   /// later fault during an open window restarts the timer.
   std::uint32_t reconfigLatencyCycles = 200;
-  /// Reconfigure incrementally when possible: keep the previous epoch's
-  /// turn rule (restricting an acyclic dependency graph to the surviving
-  /// channels cannot create a cycle) and rebuild only the destinations a
-  /// failed link can affect, scaling the reconfiguration window by the
-  /// fraction of routing work actually redone.  Falls back to a full
-  /// rebuild — and the full window — when a resource revived or the
-  /// inherited rule leaves an alive component partially unreachable.
-  /// Default off: the fixed-window protocol stays bit-for-bit identical to
-  /// previous releases.
+  /// Reconfigure incrementally when possible: keep the turn rule of one of
+  /// the fabric manager's anchors — the healthy routing, then the newest
+  /// full rebuild (fabric/manager.hpp) — restricted to the surviving
+  /// channels (which cannot create a cycle), rebuild only the destinations
+  /// a channel dead since that anchor can affect, and scale the
+  /// reconfiguration window by the fraction of routing work actually
+  /// redone.  Falls back to a full rebuild — and the full window — when
+  /// neither anchor serves: a channel revived relative to it, one of its
+  /// tree channels died, or its rule leaves an alive component partially
+  /// unreachable.  Default off: the fixed-window protocol stays
+  /// bit-for-bit identical to previous releases.
   bool reconfigIncremental = false;
   /// What happens to packets generated while a reconfiguration window is
   /// open: parked in the source queue (default) or dropped at generation.

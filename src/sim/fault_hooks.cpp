@@ -77,8 +77,9 @@ std::uint64_t WormholeNetwork::reconfigWindowLength() const {
   // The window models route recomputation + distribution time, so an
   // incremental epoch that redoes a fraction of the per-destination work
   // finishes proportionally sooner (never below one cycle).  The fraction
-  // is computed against the CURRENT epoch — exactly the one the swap at
-  // window end will be built from.
+  // is computed against the anchor the fabric manager tries first under
+  // these masks — the one the swap at window end is built from unless its
+  // checks fail.
   const double fraction = fabric_->incrementalDirtyFraction(
       faults_->linkAliveMask(), faults_->nodeAliveMask());
   const double cycles = static_cast<double>(config_.reconfigLatencyCycles);
@@ -208,9 +209,8 @@ void WormholeNetwork::completeReconfiguration() {
   // The fabric rebuilds from the controller's authoritative masks (driven
   // mode always publishes) and this thread re-pins the new epoch; the old
   // pin is superseded, so the fabric reclaims the retired table once no
-  // reader announces it.  Incremental rebuilds run against the epoch being
-  // replaced — identical Reconfigurator inputs to the historical in-place
-  // swap, so the published table is bit-for-bit the same.
+  // reader announces it.  Incremental rebuilds start from the fabric
+  // manager's anchors: the healthy routing, then the newest full rebuild.
   const fabric::PublishResult outcome = fabric_->publishFromMasks(
       faults_->linkAliveMask(), faults_->nodeAliveMask(),
       config_.reconfigIncremental);

@@ -2,12 +2,18 @@
 // bit for bit, service mode coalesces fault bursts (flap cancel-out, union
 // dirty set), the FaultController sink feeds effective transitions, and an
 // attached OracleGate audits every epoch publish from both writer modes —
-// recording a kOracleViolation anomaly without ever blocking the publish.
+// recording a kOracleViolation anomaly without ever blocking the publish —
+// and incremental publishes build from the healthy or the newest-full
+// anchor, tagging every full rebuild with why neither served.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +23,8 @@
 #include "obs/flight_recorder.hpp"
 #include "topology/generate.hpp"
 #include "util/rng.hpp"
+#include "util/span_recorder.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/gate.hpp"
 
 namespace downup::fabric {
@@ -267,6 +275,199 @@ TEST(FabricManagerTest, ServiceModeRebuildsAuditThroughTheSameGate) {
   EXPECT_EQ(fm.oracleViolations(), 1u);
   EXPECT_GE(oracleAnomalies(fm.flightRecorder()), 1u);
   EXPECT_EQ(fm.currentEpoch(), 1u);  // publish still happened
+}
+
+bool isTreeLink(const routing::TurnPermissions& rule, topo::LinkId l) {
+  const routing::Dir d = rule.dir(2 * l);
+  return d == routing::Dir::kLuTree || d == routing::Dir::kRdTree;
+}
+
+std::vector<std::uint64_t> channelMask(
+    const topo::Topology& topo, const std::vector<std::uint8_t>& linksUp) {
+  std::vector<std::uint64_t> alive((topo.channelCount() + 63) / 64, 0);
+  for (topo::ChannelId c = 0; c < topo.channelCount(); ++c) {
+    if (linksUp[topo::Topology::linkOf(c)] != 0) {
+      alive[c >> 6] |= std::uint64_t{1} << (c & 63);
+    }
+  }
+  return alive;
+}
+
+/// The value of `key` on span `span`, or -1 when absent.
+double spanArg(const util::SpanRecorder::Span& span, const char* key) {
+  for (std::uint8_t i = 0; i < span.argCount; ++i) {
+    if (std::strcmp(span.args[i].key, key) == 0) return span.args[i].value;
+  }
+  return -1.0;
+}
+
+// Driven publishes pick their parent among two anchors: the healthy
+// baseline, then the newest full rebuild F.  Cross links a and b and tree
+// link t go down and come back up in nested order; a link-up is served
+// incrementally whenever every link still dead is a cross link of the
+// anchor it is built from.
+TEST(FabricManagerTest, DrivenPublishesBuildFromHealthyOrNewestFullAnchor) {
+  Fixture fx;
+  const topo::Topology& topo = fx.topo;
+  const routing::TurnPermissions& healthyRule = *fx.baseline.perms;
+  const std::vector<std::uint8_t> nodesUp = allAlive(topo.nodeCount());
+
+  topo::LinkId t = topo.linkCount();
+  topo::LinkId a = topo.linkCount();
+  for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+    if (isTreeLink(healthyRule, l)) {
+      if (t == topo.linkCount()) t = l;
+    } else if (a == topo.linkCount()) {
+      a = l;
+    }
+  }
+  ASSERT_LT(t, topo.linkCount());
+  ASSERT_LT(a, topo.linkCount());
+  std::vector<std::uint8_t> fullMask = allAlive(topo.linkCount());
+  fullMask[a] = 0;
+  fullMask[t] = 0;
+  const fault::ReconfigOutcome full = fx.reconf.rebuild(fullMask, nodesUp);
+  ASSERT_TRUE(full.ok());
+  topo::LinkId b = topo.linkCount();
+  for (topo::LinkId l = 0; l < topo.linkCount() && b == topo.linkCount();
+       ++l) {
+    if (l != a && l != t && !isTreeLink(healthyRule, l) &&
+        !isTreeLink(*full.perms, l)) {
+      b = l;
+    }
+  }
+  ASSERT_LT(b, topo.linkCount());
+
+  struct Step {
+    topo::LinkId link;
+    bool alive;
+    bool incremental;
+    Anchor parent;
+    bool cleanDirtySet;  // a revival back onto the anchor's own mask
+  };
+  const Step steps[] = {
+      {a, false, true, Anchor::kHealthy, false},
+      {t, false, false, Anchor::kHealthy, false},
+      {b, false, true, Anchor::kNewestFull, false},
+      {b, true, true, Anchor::kNewestFull, true},
+      {t, true, true, Anchor::kHealthy, false},
+      {a, true, true, Anchor::kHealthy, true},
+  };
+
+  const auto run = [&](util::ThreadPool* pool, util::SpanRecorder* spans,
+                       FabricMetrics* metrics) {
+    FabricManager::Options options;
+    options.pool = pool;
+    options.spans = spans;
+    options.metrics = metrics;
+    FabricManager fm(topo, *fx.baseline.table, options);
+    Reader reader = fm.makeReader();
+    std::vector<std::uint8_t> linksUp = allAlive(topo.linkCount());
+    std::vector<std::uint64_t> fingerprints;
+    for (const Step& step : steps) {
+      SCOPED_TRACE(testing::Message() << "link " << step.link
+                                      << (step.alive ? " up" : " down"));
+      linksUp[step.link] = step.alive ? 1 : 0;
+      const double fraction = fm.incrementalDirtyFraction(linksUp, nodesUp);
+      const PublishResult result =
+          fm.publishFromMasks(linksUp, nodesUp, /*incremental=*/true);
+      EXPECT_TRUE(result.ok);
+      EXPECT_EQ(result.incremental, step.incremental);
+      const std::uint32_t n = topo.nodeCount();
+      if (step.incremental) {
+        EXPECT_EQ(result.parent, step.parent);
+        EXPECT_EQ(result.rebuiltDestinations == 0, step.cleanDirtySet);
+        EXPECT_DOUBLE_EQ(fraction,
+                         std::max(1u, result.rebuiltDestinations) /
+                             static_cast<double>(n));
+        const routing::TurnPermissions& rule =
+            step.parent == Anchor::kHealthy ? healthyRule : *full.perms;
+        const routing::RoutingTable masked = routing::RoutingTable::build(
+            rule, nullptr, channelMask(topo, linksUp));
+        EXPECT_TRUE(fm.acquire(reader).table().identicalTo(masked));
+      } else {
+        EXPECT_EQ(result.rebuiltDestinations, n);
+        EXPECT_DOUBLE_EQ(fraction, 1.0);
+        EXPECT_EQ(fm.acquire(reader).table().fingerprint(),
+                  full.table->fingerprint());
+      }
+      fingerprints.push_back(fm.acquire(reader).table().fingerprint());
+    }
+    EXPECT_EQ(fm.rebuilds(), std::size(steps));
+    EXPECT_EQ(fm.rebuildsIncremental(), std::size(steps) - 1);
+    return fingerprints;
+  };
+
+  util::SpanRecorder spans;
+  FabricMetrics metrics;
+  const std::vector<std::uint64_t> serial = run(nullptr, &spans, &metrics);
+  // Back to all-alive: the baseline's own blocks, republished.
+  EXPECT_EQ(serial.back(), fx.baseline.table->fingerprint());
+
+  // Each publish's root span says which anchor served it or, for the full
+  // rebuild, why neither did.
+  std::vector<util::SpanRecorder::Span> roots;
+  for (const auto& span : spans.snapshot()) {
+    if (span.parent == util::SpanRecorder::kNoParent &&
+        std::strcmp(span.name, "rebuild") == 0) {
+      roots.push_back(span);
+    }
+  }
+  ASSERT_EQ(roots.size(), std::size(steps));
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "publish " << i);
+    if (steps[i].incremental) {
+      EXPECT_EQ(spanArg(roots[i], "parent"),
+                static_cast<double>(steps[i].parent));
+      EXPECT_EQ(spanArg(roots[i], "healthy"), -1.0);
+    } else {
+      EXPECT_EQ(spanArg(roots[i], "healthy"),
+                static_cast<double>(AnchorMiss::kDeadTreeChannel));
+      EXPECT_EQ(spanArg(roots[i], "anchor"),
+                static_cast<double>(AnchorMiss::kAbsent));
+      EXPECT_EQ(spanArg(roots[i], "parent"), -1.0);
+    }
+  }
+  EXPECT_EQ(metrics.fullRebuildsByHealthyMiss[static_cast<std::size_t>(
+                                                  AnchorMiss::kDeadTreeChannel)]
+                .load(),
+            1u);
+  EXPECT_EQ(metrics.rebuildsIncremental.load(), std::size(steps) - 1);
+
+  util::ThreadPool four(4);
+  EXPECT_EQ(run(&four, nullptr, nullptr), serial);
+}
+
+TEST(FabricManagerTest, FullDrivenPublishRecordsNotRequested) {
+  Fixture fx;
+  util::SpanRecorder spans;
+  FabricMetrics metrics;
+  FabricManager::Options options;
+  options.spans = &spans;
+  options.metrics = &metrics;
+  FabricManager fm(fx.topo, *fx.baseline.table, options);
+  std::vector<std::uint8_t> linksUp = allAlive(fx.topo.linkCount());
+  linksUp[2] = 0;
+  fm.publishFromMasks(linksUp, allAlive(fx.topo.nodeCount()),
+                      /*incremental=*/false);
+
+  const auto all = spans.snapshot();
+  ASSERT_FALSE(all.empty());
+  ASSERT_STREQ(all[0].name, "rebuild");
+  EXPECT_EQ(spanArg(all[0], "healthy"),
+            static_cast<double>(AnchorMiss::kNotRequested));
+  EXPECT_EQ(spanArg(all[0], "anchor"),
+            static_cast<double>(AnchorMiss::kNotRequested));
+  EXPECT_EQ(metrics.fullRebuildsByHealthyMiss[static_cast<std::size_t>(
+                                                  AnchorMiss::kNotRequested)]
+                .load(),
+            1u);
+  std::ostringstream json;
+  metrics.writeJson(json);
+  EXPECT_NE(json.str().find("\"fullRebuildsByHealthyMiss\":{"
+                            "\"notRequested\":1,\"absent\":0,"),
+            std::string::npos)
+      << json.str();
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Incremental reconfiguration: Reconfigurator::rebuildIncremental keeps the
-// previous epoch's turn rule and rebuilds only the destinations a failure
+// Incremental reconfiguration: Reconfigurator::rebuildIncremental keeps an
+// anchor table's turn rule and rebuilds only the destinations a failure
 // can affect.  Contract under test:
 //
 //   * the incremental table is bit-for-bit identical to a full masked
@@ -10,7 +10,10 @@
 //   * when the inherited rule cannot serve every surviving pair (e.g. a
 //     tree link whose loss severs the only legal detour) the incremental
 //     path detects it and falls back to the full rebuild, so every outcome
-//     is ok() regardless of which path ran;
+//     is ok() regardless of which path ran — and the healthy rule serves
+//     exactly the cross-link failures (tryIncremental);
+//   * the cycle check runs on alive channels only, so a full rebuild's
+//     dead channels raise no false cycle;
 //   * in the engine, reconfigIncremental = true shortens the frozen window
 //     (reconfigCyclesTotal) for incremental-served failures and leaves
 //     results verified and fully drained.
@@ -174,6 +177,72 @@ TEST(IncrementalReconfigTest, DirtyFractionBoundsAndFallbackConsistency) {
   EXPECT_EQ(reconf.incrementalDirtyFraction(
                 *prev.table, allAlive(topo.linkCount()), nodesUp),
             1.0);
+}
+
+bool isTreeLink(const routing::TurnPermissions& rule, topo::LinkId l) {
+  const routing::Dir d = rule.dir(2 * l);
+  return d == routing::Dir::kLuTree || d == routing::Dir::kRdTree;
+}
+
+// The anchor-skip rule of FabricManager: the healthy rule serves every
+// single cross-link failure and no single tree-link failure, so skipping
+// an anchor whose tree channel died loses nothing.
+TEST(IncrementalReconfigTest, HealthyRuleServesCrossButNotTreeLinkFailures) {
+  for (const topo::NodeId switches : {24u, 64u}) {
+    for (const std::uint64_t seed : {2024u, 2025u, 2026u}) {
+      const topo::Topology topo = makeSan(switches, seed);
+      const Reconfigurator reconf(topo);
+      const std::vector<std::uint8_t> nodesUp = allAlive(topo.nodeCount());
+      const ReconfigOutcome healthy =
+          reconf.rebuild(allAlive(topo.linkCount()), nodesUp);
+      ASSERT_TRUE(healthy.ok());
+      unsigned treeLinks = 0;
+      for (topo::LinkId l = 0; l < topo.linkCount(); ++l) {
+        SCOPED_TRACE(testing::Message() << switches << " switches, seed "
+                                        << seed << ", link " << l);
+        std::vector<std::uint8_t> linksUp = allAlive(topo.linkCount());
+        linksUp[l] = 0;
+        const bool tree = isTreeLink(*healthy.perms, l);
+        treeLinks += tree;
+        EXPECT_EQ(reconf.tryIncremental(*healthy.table, linksUp, nodesUp)
+                      .has_value(),
+                  !tree);
+      }
+      EXPECT_EQ(treeLinks, topo.nodeCount() - 1);
+    }
+  }
+}
+
+// A full rebuild leaves arbitrary directions on its dead channels.  The
+// cycle check of an incremental epoch from it must ignore them: after tree
+// link 0 dies (a full rebuild, F), cross link 1's failure is served from
+// F's rule.
+TEST(IncrementalReconfigTest, FullRebuildServesCrossLinkFailureDespiteDeadChannels) {
+  const topo::Topology topo = makeSan(24, 2024);
+  const Reconfigurator reconf(topo);
+  const std::vector<std::uint8_t> nodesUp = allAlive(topo.nodeCount());
+  const ReconfigOutcome healthy =
+      reconf.rebuild(allAlive(topo.linkCount()), nodesUp);
+  ASSERT_TRUE(healthy.ok());
+  ASSERT_TRUE(isTreeLink(*healthy.perms, 0));
+
+  std::vector<std::uint8_t> linksUp = allAlive(topo.linkCount());
+  linksUp[0] = 0;
+  const ReconfigOutcome full = reconf.rebuildIncremental(*healthy.table,
+                                                         linksUp, nodesUp);
+  ASSERT_TRUE(full.ok());
+  ASSERT_FALSE(full.incremental);
+  ASSERT_FALSE(isTreeLink(*full.perms, 1));
+
+  linksUp[1] = 0;
+  const ReconfigOutcome out =
+      reconf.rebuildIncremental(*full.table, linksUp, nodesUp);
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out.incremental);
+  const routing::RoutingTable masked = routing::RoutingTable::build(
+      *full.perms, nullptr, channelMask(topo, linksUp));
+  EXPECT_TRUE(out.table->identicalTo(masked));
+  EXPECT_EQ(out.rebuiltDestinations, 18u);
 }
 
 // Engine integration: the same fault scenario with and without
