@@ -1,4 +1,4 @@
-// Transfer phase: the two-level switch arbitration.
+// Transfer phase: switch arbitration, flit moves and the credit return.
 //
 // Level 1 nominates one flit per input port (physical channel or source
 // queue); level 2 grants one flit per output resource (physical channel or
@@ -9,39 +9,55 @@
 // which is exactly the order the historical 0..N-1 scans nominated in, so
 // per-resource request lists — and therefore round-robin winners — are
 // unchanged.
+//
+// With one VC per link, each output VC and each ejection port has exactly
+// one feeder (the upstream VC or source of the packet that claimed it), so
+// every nomination wins level 2 and executes as soon as it is made — in
+// the order the grouped path executes its winners.  In both paths the
+// credits of the moved VCs return only after the last nomination, so no
+// feeder sends into a buffer slot freed in the same cycle.
 #include "sim/network.hpp"
 
 namespace downup::sim {
 
 void WormholeNetwork::transferFlits() {
+  freedSlots_.clear();
+  if (vcCount_ == 1) {
+    // activeChannels_ membership already means the channel's VC is owned,
+    // routed and non-empty; only downstream credit can gate the flit.
+    activeChannels_.forEach([this](ChannelId c) {
+      const std::uint32_t out = vcs_[c].out;
+      if (!isEject(out) && credit_[out] == 0) return;
+      executeMove(false, c);
+    });
+    busySources_.forEach([this](topo::NodeId node) {
+      if (credit_[sources_[node].out] == 0) return;  // sources never eject
+      executeMove(true, node);
+    });
+  } else {
+    transferGrouped();
+  }
+  for (std::uint32_t vcId : freedSlots_) ++credit_[vcId];
+}
+
+void WormholeNetwork::transferGrouped() {
   // Level 1: one flit per input physical channel per cycle (round-robin
   // among that channel's VCs); each source queue is its own input port.
   proposedMoves_.clear();
   const std::uint32_t channels = topo_->channelCount();
-  if (vcCount_ == 1) {
-    // One VC per channel: activeChannels_ membership already means that VC
-    // is owned, routed and non-empty, and the per-channel VC round-robin
-    // has nothing to choose — only downstream credit can gate the flit.
-    activeChannels_.forEach([this](ChannelId c) {
-      const std::uint32_t out = vcs_[c].out;
-      if (!isEject(out) && credit_[out] == 0) return;
-      proposedMoves_.push_back(Move{false, c, out});
-    });
-  } else {
-    activeChannels_.forEach([this](ChannelId c) {
-      const std::uint32_t rr = inputRoundRobin_[c];
-      for (std::uint32_t k = 0; k < vcCount_; ++k) {
-        const std::uint32_t v = (rr + k) % vcCount_;
-        const std::uint32_t vcId = c * vcCount_ + v;
-        const Vc& vc = vcs_[vcId];
-        if (vc.owner == kNoPacket || vc.out == kNoOut || vc.buffered == 0) continue;
-        if (!isEject(vc.out) && credit_[vc.out] == 0) continue;
-        proposedMoves_.push_back(Move{false, vcId, vc.out});
-        inputRoundRobin_[c] = v + 1;
-        break;
-      }
-    });
-  }
+  activeChannels_.forEach([this](ChannelId c) {
+    const std::uint32_t rr = inputRoundRobin_[c];
+    for (std::uint32_t k = 0; k < vcCount_; ++k) {
+      const std::uint32_t v = (rr + k) % vcCount_;
+      const std::uint32_t vcId = c * vcCount_ + v;
+      const Vc& vc = vcs_[vcId];
+      if (vc.owner == kNoPacket || vc.out == kNoOut || vc.buffered == 0) continue;
+      if (!isEject(vc.out) && credit_[vc.out] == 0) continue;
+      proposedMoves_.push_back(Move{false, vcId, vc.out});
+      inputRoundRobin_[c] = v + 1;
+      break;
+    }
+  });
   busySources_.forEach([this](topo::NodeId node) {
     const Source& source = sources_[node];
     if (credit_[source.out] == 0) return;  // sources never eject

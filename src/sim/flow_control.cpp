@@ -59,7 +59,9 @@ void WormholeNetwork::executeMove(bool fromSource, std::uint32_t index) {
     out = vc.out;
     flitIdx = vc.sent++;
     --vc.buffered;
-    ++credit_[index];  // the slot frees for whoever feeds this VC
+    // The slot frees for whoever feeds this VC, but only once the transfer
+    // phase ends (transferFlits returns it).
+    freedSlots_.push_back(index);
     if (vc.buffered == 0) unmarkMovable(index);
   }
   const bool isTail = flitIdx + 1 == len;

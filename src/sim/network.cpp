@@ -46,6 +46,8 @@ WormholeNetwork::WormholeNetwork(const RoutingTable& table,
   inputRoundRobin_.assign(topo_->channelCount(), 0);
   outputRoundRobin_.assign(outputResources_, 0);
   resourceRequests_.assign(outputResources_, {});
+  // At most one VC per physical channel sends per cycle.
+  freedSlots_.reserve(topo_->channelCount());
   movableVcs_.assign(topo_->channelCount(), 0);
   pendingHeaders_.resize(totalVcs_);
   routableSources_.resize(topo_->nodeCount());

@@ -14,7 +14,9 @@
 //                  flit per output channel / ejection port per cycle) moves
 //                  flits; a flit sent at cycle t enters the downstream
 //                  buffer at t+2.  Credit-based flow control with
-//                  bufferDepthFlits credits per VC.
+//                  bufferDepthFlits credits per VC; a slot freed by a send
+//                  is credited upstream at the end of the phase, so it is
+//                  reusable from the next cycle on.
 //
 // Wormhole semantics: an output VC is owned by one packet from header
 // allocation until its tail flit leaves that VC's buffer; a blocked header
@@ -27,7 +29,11 @@
 //                      deadlock watchdog, stats assembly;
 //   allocation.cpp   — header routing and output-VC / ejection-port claims
 //                      (the RoutingTable span fast path, no scratch allocs);
-//   arbitration.cpp  — the two-level switch allocation of transferFlits;
+//   arbitration.cpp  — the switch allocation of transferFlits: with one VC
+//                      per link each output resource has one feeder, so
+//                      every nomination executes directly; with more, the
+//                      two-level grouped arbitration picks one winner per
+//                      output.  Both return credits at the end of the phase;
 //   flow_control.cpp — pipeline arrivals, credits, flit movement;
 //   telemetry.*      — measurement bookkeeping behind the Telemetry class.
 //
@@ -228,6 +234,9 @@ class WormholeNetwork {
 
   // --- arbitration.cpp ---
   void transferFlits();
+  /// Multi-VC level 1 + level 2: nominations grouped per output resource,
+  /// one round-robin winner each.
+  void transferGrouped();
 
   // --- fault_hooks.cpp (only reached when config_.faultSchedule != null) ---
   /// Start-of-cycle fault work: apply due events (quarantining the worms on
@@ -345,6 +354,7 @@ class WormholeNetwork {
   std::vector<Move> proposedMoves_;
   std::vector<std::uint32_t> touchedResources_;
   std::vector<std::vector<Move>> resourceRequests_;
+  std::vector<std::uint32_t> freedSlots_;  // VCs that sent a flit this transfer
 
   // Clock and bookkeeping.
   std::uint64_t now_ = 0;

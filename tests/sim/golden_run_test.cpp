@@ -5,11 +5,12 @@
 // same arbitration winners, same RNG draw order, same RunStats bit for bit
 // on a fixed seed.  These constants were recorded from the seed engine on a
 // 24-switch irregular network under every routing mode (adaptive with 1 and
-// 2 VCs, escape-adaptive, deterministic, misrouting, bursty traffic), and
-// every comparison below is exact — EXPECT_EQ on counters, EXPECT_DOUBLE_EQ
-// on derived doubles, and an FNV-1a hash over the raw channel-utilization
-// bytes.  Any divergence in scheduling, arbitration or accounting shows up
-// here as a hard failure, not a tolerance drift.
+// 2 VCs, escape-adaptive, deterministic, misrouting, bursty traffic); the
+// run with mid-run link failures was recorded later, from the layered
+// engine.  Every comparison below is exact — EXPECT_EQ on counters,
+// EXPECT_DOUBLE_EQ on derived doubles, and an FNV-1a hash over the raw
+// channel-utilization bytes.  Any divergence in scheduling, arbitration or
+// accounting shows up here as a hard failure, not a tolerance drift.
 #include <cstdint>
 #include <gtest/gtest.h>
 
@@ -169,6 +170,32 @@ TEST_F(GoldenRunTest, BurstyTraffic) {
                {488, 443, 7140, 33.778781038374717, 29.0, 69.159999999999968,
                 8.516930022573364, 0.099166666666666667,
                 0x040b6564f46b5752ULL});
+}
+
+// The runs above inject no faults.  This one pins the engine's interplay
+// with quarantine drops, credit resets and routing swaps: three mid-run
+// link failures 500 cycles apart (the schedule of
+// FaultInjectionTest.MultipleFailuresEachReconfigure), then a drain.
+TEST_F(GoldenRunTest, LinkFailuresMidRun) {
+  const auto schedule =
+      fault::FaultSchedule::randomLinkFailures(topo_, 3, 800, 500, 9);
+  sim::SimConfig config = baseConfig();
+  config.reconfigLatencyCycles = 100;
+  config.faultSchedule = &schedule;
+  const sim::UniformTraffic traffic(topo_.nodeCount());
+  sim::WormholeNetwork net(routing_.table(), traffic, 0.12, config);
+  net.run();
+  ASSERT_TRUE(net.drainRemaining(100000));
+  const sim::RunStats stats = net.collectStats();
+  EXPECT_EQ(stats.packetsGenerated, 665u);
+  EXPECT_EQ(net.packetsEjected(), 664u);
+  EXPECT_EQ(stats.packetsDroppedInFlight, 1u);
+  EXPECT_EQ(stats.packetsDroppedInjection, 0u);
+  EXPECT_EQ(stats.packetsDroppedUnreachable, 0u);
+  EXPECT_EQ(stats.reconfigurations, 3u);
+  EXPECT_EQ(stats.reconfigCyclesTotal, 303u);
+  EXPECT_DOUBLE_EQ(stats.avgLatency, 36.889081455805893);
+  EXPECT_EQ(statsHash(stats), 0xd21256bb66a65ea2ULL);
 }
 
 }  // namespace
