@@ -5,7 +5,7 @@
 // fabric's service thread — rebuilds, coalescing and epoch swaps all happen
 // live under the readers.
 //
-// Reported (one JSON row, schema in results/README.md):
+// Reported (one JSONL row with --metrics-out, schema in results/README.md):
 //   lookupsPerSec           read-path throughput over the whole serve span
 //   lookupP50Ns/P99Ns       per-lookup latency quantiles (timed subsample)
 //   acquireP99Ns            pin-acquisition latency quantiles
@@ -21,17 +21,15 @@
 //   fabricMetrics           full FabricMetrics JSON object (histograms +
 //                           coalescing ledger)
 //
-// Writes BENCH_serve.json (--json or $DOWNUP_BENCH_SERVE_JSON overrides,
-// "" disables); --metrics-out appends the same row as one JSONL line;
-// --spans-out writes the service thread's control-plane spans as JSONL plus
-// a Perfetto-loadable trace.
+// --metrics-out appends the row as one JSONL line; --spans-out writes the
+// service thread's control-plane spans as JSONL plus a Perfetto-loadable
+// trace.
 //
 //   ./bench_serve --switches 64 --threads 4 --churn 16 --serve-ms 400
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -43,7 +41,6 @@
 #include "fabric/manager.hpp"
 #include "fault/controller.hpp"
 #include "fault/schedule.hpp"
-#include "obs/export.hpp"
 #include "obs/span.hpp"
 #include "topology/generate.hpp"
 #include "tree/coordinated_tree.hpp"
@@ -154,10 +151,10 @@ fault::FaultSchedule makeChurn(const topo::Topology& topo, unsigned churn,
   return schedule;
 }
 
+/// Writes the result as one JSONL line.
 void writeRow(std::FILE* out, const ServeResult& r, int switches, int ports,
               std::uint64_t seed, int readers, unsigned churn,
-              std::uint64_t coalesceUs, std::uint64_t intervalUs,
-              const char* indent, const char* lineEnd) {
+              std::uint64_t coalesceUs, std::uint64_t intervalUs) {
   const auto lk = r.total.lookupNs.snapshot();
   const auto aq = r.total.acquireNs.snapshot();
   const double perSec =
@@ -167,56 +164,50 @@ void writeRow(std::FILE* out, const ServeResult& r, int switches, int ports,
   const std::uint64_t coalesced =
       r.transitionsAbsorbed > r.rebuilds ? r.transitionsAbsorbed - r.rebuilds
                                          : 0;
-  std::fprintf(out, "%s\"switches\": %d, \"ports\": %d, \"seed\": %llu,%s",
-               indent, switches, ports,
-               static_cast<unsigned long long>(seed), lineEnd);
+  std::fprintf(out, "{\"bench\": \"bench_serve\", \"switches\": %d, "
+                    "\"ports\": %d, \"seed\": %llu, ",
+               switches, ports, static_cast<unsigned long long>(seed));
   std::fprintf(out,
-               "%s\"readerThreads\": %d, \"churnLinks\": %u, "
+               "\"readerThreads\": %d, \"churnLinks\": %u, "
                "\"coalesceWindowMicros\": %llu, \"faultIntervalMicros\": "
-               "%llu,%s",
-               indent, readers, churn,
-               static_cast<unsigned long long>(coalesceUs),
-               static_cast<unsigned long long>(intervalUs), lineEnd);
+               "%llu, ",
+               readers, churn, static_cast<unsigned long long>(coalesceUs),
+               static_cast<unsigned long long>(intervalUs));
   std::fprintf(out,
-               "%s\"durationSeconds\": %.3f, \"lookups\": %llu, "
-               "\"lookupsPerSec\": %.0f,%s",
-               indent, r.durationSeconds,
-               static_cast<unsigned long long>(r.total.lookups), perSec,
-               lineEnd);
+               "\"durationSeconds\": %.3f, \"lookups\": %llu, "
+               "\"lookupsPerSec\": %.0f, ",
+               r.durationSeconds,
+               static_cast<unsigned long long>(r.total.lookups), perSec);
   std::fprintf(out,
-               "%s\"lookupP50Ns\": %.0f, \"lookupP99Ns\": %.0f, "
-               "\"lookupMaxNs\": %.0f,%s",
-               indent, lk.p50, lk.p99, r.total.lookupNs.max(), lineEnd);
+               "\"lookupP50Ns\": %.0f, \"lookupP99Ns\": %.0f, "
+               "\"lookupMaxNs\": %.0f, ",
+               lk.p50, lk.p99, r.total.lookupNs.max());
   std::fprintf(out,
-               "%s\"acquireP50Ns\": %.0f, \"acquireP99Ns\": %.0f, "
-               "\"epochSwapStallMaxNs\": %.0f,%s",
-               indent, aq.p50, aq.p99, r.total.maxAcquireNs, lineEnd);
+               "\"acquireP50Ns\": %.0f, \"acquireP99Ns\": %.0f, "
+               "\"epochSwapStallMaxNs\": %.0f, ",
+               aq.p50, aq.p99, r.total.maxAcquireNs);
   std::fprintf(out,
-               "%s\"lookupsDuringReconfig\": %llu, \"rebuilds\": %llu, "
-               "\"rebuildsSkipped\": %llu,%s",
-               indent,
+               "\"lookupsDuringReconfig\": %llu, \"rebuilds\": %llu, "
+               "\"rebuildsSkipped\": %llu, ",
                static_cast<unsigned long long>(r.total.lookupsDuringReconfig),
                static_cast<unsigned long long>(r.rebuilds),
-               static_cast<unsigned long long>(r.rebuildsSkipped), lineEnd);
+               static_cast<unsigned long long>(r.rebuildsSkipped));
   std::fprintf(out,
-               "%s\"transitionsAbsorbed\": %llu, \"rebuildsCoalesced\": "
-               "%llu, \"largestBatch\": %llu,%s",
-               indent, static_cast<unsigned long long>(r.transitionsAbsorbed),
+               "\"transitionsAbsorbed\": %llu, \"rebuildsCoalesced\": "
+               "%llu, \"largestBatch\": %llu, ",
+               static_cast<unsigned long long>(r.transitionsAbsorbed),
                static_cast<unsigned long long>(coalesced),
-               static_cast<unsigned long long>(r.largestBatch), lineEnd);
+               static_cast<unsigned long long>(r.largestBatch));
+  std::fprintf(out, "\"finalEpoch\": %llu, \"epochsReclaimed\": %llu, ",
+               static_cast<unsigned long long>(r.finalEpoch),
+               static_cast<unsigned long long>(r.reclaimed));
   std::fprintf(out,
-               "%s\"finalEpoch\": %llu, \"epochsReclaimed\": %llu,%s",
-               indent, static_cast<unsigned long long>(r.finalEpoch),
-               static_cast<unsigned long long>(r.reclaimed), lineEnd);
-  std::fprintf(out,
-               "%s\"retireDepthMax\": %llu, \"snapshotLifetimeP50Ns\": "
-               "%.0f, \"snapshotLifetimeP99Ns\": %.0f,%s",
-               indent, static_cast<unsigned long long>(r.retireDepthMax),
-               r.snapshotLifetimeP50Ns, r.snapshotLifetimeP99Ns, lineEnd);
-  std::fprintf(out, "%s\"fabricMetrics\": %s,%s", indent,
-               r.fabricMetricsJson.c_str(), lineEnd);
-  std::fprintf(out, "%s\"allPublishedOk\": %s", indent,
-               r.allOk ? "true" : "false");
+               "\"retireDepthMax\": %llu, \"snapshotLifetimeP50Ns\": "
+               "%.0f, \"snapshotLifetimeP99Ns\": %.0f, ",
+               static_cast<unsigned long long>(r.retireDepthMax),
+               r.snapshotLifetimeP50Ns, r.snapshotLifetimeP99Ns);
+  std::fprintf(out, "\"fabricMetrics\": %s, \"allPublishedOk\": %s}\n",
+               r.fabricMetricsJson.c_str(), r.allOk ? "true" : "false");
 }
 
 }  // namespace
@@ -243,10 +234,6 @@ int main(int argc, char** argv) {
   auto spansOut = scli.cli().option<std::string>(
       "spans-out", "",
       "control-plane span path prefix (.{jsonl,trace.json} appended)");
-  auto jsonOpt = scli.cli().option<std::string>(
-      "json", "",
-      "JSON output path (default BENCH_serve.json or "
-      "$DOWNUP_BENCH_SERVE_JSON; \"\" with the env var disables)");
   scli.parse(argc, argv);
 
   const int switches = scli.switches();
@@ -362,39 +349,17 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(result.finalEpoch),
       result.allOk ? 1 : 0);
 
-  std::string jsonPath = *jsonOpt;
-  if (jsonPath.empty()) {
-    const char* env = std::getenv("DOWNUP_BENCH_SERVE_JSON");
-    jsonPath = env != nullptr ? env : "BENCH_serve.json";
-  }
-  if (!jsonPath.empty()) {
-    std::FILE* out = std::fopen(jsonPath.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "bench_serve: cannot write %s\n", jsonPath.c_str());
-      return 1;
-    }
-    std::fprintf(out, "{\n  \"bench\": \"bench_serve\",\n");
-    std::fprintf(out, "  \"gitRev\": \"%s\",\n", obs::gitRevision().c_str());
-    std::fprintf(out, "  \"timestampUtc\": \"%s\",\n",
-                 obs::utcTimestamp().c_str());
-    std::fprintf(out, "  \"hardwareConcurrency\": %u,\n",
-                 std::thread::hardware_concurrency());
-    writeRow(out, result, switches, scli.ports(), scli.seed(), readers,
-             churn, coalesceUs, intervalUs, "  ", "\n");
-    std::fprintf(out, "\n}\n");
-    std::fclose(out);
-    std::printf("bench_serve: wrote %s\n", jsonPath.c_str());
-  }
   if (!metricsOut->empty()) {
     std::FILE* out = std::fopen(metricsOut->c_str(), "a");
-    if (out != nullptr) {
-      std::fprintf(out, "{\"bench\": \"bench_serve\", ");
-      writeRow(out, result, switches, scli.ports(), scli.seed(), readers,
-               churn, coalesceUs, intervalUs, "", " ");
-      std::fprintf(out, "}\n");
-      std::fclose(out);
-      std::printf("bench_serve: appended %s\n", metricsOut->c_str());
+    if (out == nullptr) {
+      std::fprintf(stderr, "bench_serve: cannot write %s\n",
+                   metricsOut->c_str());
+      return 1;
     }
+    writeRow(out, result, switches, scli.ports(), scli.seed(), readers, churn,
+             coalesceUs, intervalUs);
+    std::fclose(out);
+    std::printf("bench_serve: appended %s\n", metricsOut->c_str());
   }
   if (!spansOut->empty()) {
     {

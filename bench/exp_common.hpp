@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -22,10 +23,24 @@
 
 namespace downup::bench {
 
+/// Exits 2 the way util::Cli does for a value it cannot parse, for one
+/// that parses but that the bench cannot honour: names the allowed values,
+/// then prints the usage.
+[[noreturn]] inline void rejectValue(const util::Cli& cli,
+                                     const std::string& program,
+                                     const std::string& option, int value,
+                                     const std::string& allowed) {
+  std::cerr << program << ": bad value '" << value << "' for --" << option
+            << " (" << allowed << ")\n"
+            << cli.usage();
+  std::exit(2);
+}
+
 class ExperimentCli {
  public:
   ExperimentCli(std::string program, std::string description)
-      : cli_(std::move(program), std::move(description)) {
+      : cli_(program, std::move(description)),
+        program_(std::move(program)) {
     switches_ = cli_.positiveOption<int>("switches", 32, "number of switches (paper: 128)");
     samples_ = cli_.positiveOption<int>("samples", 3,
                                 "random topologies per configuration (paper: 10)");
@@ -62,6 +77,13 @@ class ExperimentCli {
 
   stats::ExperimentConfig parse(int argc, const char* const* argv) {
     cli_.parse(argc, argv);
+    if (*ports_ != 0 && *ports_ != 4 && *ports_ != 8) {
+      rejectValue(cli_, program_, "ports", *ports_, "must be 0, 4 or 8");
+    }
+    if (*warmup_ < 0) {
+      rejectValue(cli_, program_, "warmup", *warmup_,
+                  "must be zero or a positive number");
+    }
     stats::ExperimentConfig config;
     if (*full_) {
       config = stats::ExperimentConfig::paperScale();
@@ -77,7 +99,7 @@ class ExperimentCli {
     config.baseSeed = *seed_;
     config.verbose = !*quiet_;
     config.threads = static_cast<unsigned>(*threads_);
-    if (*ports_ == 4 || *ports_ == 8) {
+    if (*ports_ != 0) {
       config.portConfigs = {static_cast<unsigned>(*ports_)};
     }
     return config;
@@ -94,6 +116,7 @@ class ExperimentCli {
 
  private:
   util::Cli cli_;
+  std::string program_;
   std::shared_ptr<int> switches_;
   std::shared_ptr<int> samples_;
   std::shared_ptr<int> ports_;
@@ -134,7 +157,8 @@ class ScenarioCli {
  public:
   ScenarioCli(std::string program, std::string description,
               ScenarioDefaults defaults = {})
-      : cli_(std::move(program), std::move(description)),
+      : cli_(program, std::move(description)),
+        program_(std::move(program)),
         defaults_(defaults) {
     if (defaults.topology) {
       switches_ = cli_.positiveOption<int>("switches", defaults.switches,
@@ -177,7 +201,13 @@ class ScenarioCli {
 
   util::Cli& cli() { return cli_; }
 
-  void parse(int argc, const char* const* argv) { cli_.parse(argc, argv); }
+  void parse(int argc, const char* const* argv) {
+    cli_.parse(argc, argv);
+    if (*warmup_ < 0) {
+      rejectValue(cli_, program_, "warmup", *warmup_,
+                  "must be zero or a positive number");
+    }
+  }
 
   int switches() const { return switches_ ? *switches_ : defaults_.switches; }
   int ports() const { return ports_ ? *ports_ : defaults_.ports; }
@@ -303,6 +333,7 @@ class ScenarioCli {
 
  private:
   util::Cli cli_;
+  std::string program_;
   ScenarioDefaults defaults_;
   std::shared_ptr<int> switches_;
   std::shared_ptr<int> ports_;

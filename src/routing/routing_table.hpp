@@ -51,8 +51,8 @@ inline constexpr std::uint16_t kNoPath = 0xffff;
 /// Number of destination blocks below which RoutingTable::build/rebuildDead
 /// build them serially even when handed a multi-thread pool (rebuildDead
 /// counts only its dirty destinations): per-destination work at these
-/// sizes is smaller than the pool's dispatch overhead (measured in
-/// results/BENCH_build.json — the parallel path loses ~20% up through a few
+/// sizes is smaller than the pool's dispatch overhead (bench_build's
+/// tblSer/tblPar columns: the parallel path lost ~20% up through a few
 /// hundred switches on a 1-core container).  Cutover changes scheduling
 /// only; outputs stay bit-for-bit identical either way.
 inline constexpr std::uint32_t kParallelBuildMinDestinations = 256;
